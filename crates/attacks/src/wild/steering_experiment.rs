@@ -143,7 +143,8 @@ pub fn run(
             .route(target, &p)
             .map(|r| r.local_pref)
             .unwrap_or(0);
-        let tagged = sim.run_delta(
+        let tagged = sim.run_delta_on(
+            &base,
             &snap,
             &[Origination::announce(injector.asn, p, vec![fallback]).at(600)],
         );

@@ -173,7 +173,6 @@ impl SurveyContext {
         let vp_sim = workload
             .simulation(&topo)
             .retain(RetainRoutes::Prefixes(retained))
-            .threads(4)
             .compile();
         let vp_fib = Campaign::new(&vp_sim).run(&vp_episodes, Fib::default).sink;
 

@@ -283,7 +283,6 @@ fn fig3(opts: &Options) -> String {
         let workload = bgpworms_routesim::Workload::generate(&topo, &alloc, &params);
         let result = workload
             .simulation(&topo)
-            .threads(4)
             .compile()
             .run(&workload.originations);
         let archives =

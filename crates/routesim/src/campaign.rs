@@ -1,11 +1,13 @@
 //! Internet-scale campaign driver: stream per-prefix outcomes into a
 //! caller-supplied fold instead of accumulating them.
 //!
-//! [`CompiledSim::run`] returns one [`crate::SimResult`] holding every
-//! retained route and observation — fine for attack scenarios over a
-//! handful of prefixes, but a full-table run over the ~62 K-AS April-2018
-//! Internet would retain `O(prefixes × ASes)` routes. A [`Campaign`] runs
-//! the same per-prefix episodes on the same session while keeping only
+//! The campaign is the engine's only multi-prefix driver:
+//! [`CompiledSim::run`] is a campaign folding into a collecting sink that
+//! returns one [`crate::SimResult`] holding every retained route and
+//! observation — fine for attack scenarios over a handful of prefixes, but
+//! a full-table run over the ~62 K-AS April-2018 Internet would retain
+//! `O(prefixes × ASes)` routes. A [`Campaign`] with a caller-supplied sink
+//! runs the same per-prefix episodes on the same session while keeping only
 //! `O(aggregate)` state: the per-prefix loop is sharded into bounded **work
 //! chunks**, every [`PrefixOutcome`] is folded into a [`CampaignSink`] the
 //! moment its prefix finishes, and finished chunk sinks are merged into the
@@ -56,24 +58,6 @@
 //! class (in ascending prefix order) counts as the simulation and the
 //! rest as hits.
 //!
-//! # Nested-parallelism policy
-//!
-//! Two layers can spend the session's worker budget: the campaign's
-//! prefix-level chunk sharding (this module) and the engine's intra-flood
-//! export-sweep sharding (`sweep`, via the `intra` argument threaded into
-//! `CompiledSim::run_prefix`). They never nest — nesting would
-//! oversubscribe the pool with `threads²` runnable workers for zero extra
-//! coverage. `advance` places the budget once per call: a schedule wide
-//! enough to occupy every worker with whole chunks keeps prefix-level
-//! sharding and runs each flood serially (`intra = 1`); when the chunk
-//! list collapses to a single lane (one chunk in the advance, so only one
-//! prefix-level worker could ever run), the whole budget moves *inside*
-//! each flood instead. Results are identical either way
-//! (the determinism suite pins `threads = 1 ≡ threads = N` for both
-//! layers), so the placement is purely a wall-clock choice and can differ
-//! between resumed advances of the same campaign without affecting the
-//! checkpoint stream.
-//!
 //! # Campaigns vs. delta re-convergence
 //!
 //! The other O(aggregate) tool is the snapshot/delta layer
@@ -86,7 +70,9 @@
 //! captures snapshots internally, because a memoized class *hit* replays a
 //! stored outcome without ever building the scratch state a snapshot
 //! would need. Snapshot capture is therefore a single-run
-//! ([`CompiledSim::run_snapshot`]) API, not a campaign option.
+//! ([`CompiledSim::run_snapshot`]) API, not a campaign option: it runs the
+//! rest of the schedule through the campaign and converges the snapshot
+//! prefix itself, outside the memo.
 //!
 //! # Checkpointing
 //!
@@ -157,7 +143,7 @@
 //! ```
 
 use crate::classify::ClassKey;
-use crate::engine::{group_by_prefix, panic_message, CompiledSim, Origination, PrefixOutcome};
+use crate::engine::{panic_message, CompiledSim, Origination, PrefixOutcome};
 use crate::fault::{fault_site, fnv1a_extend, prefix_fault_key};
 use bgpworms_failpoint::FaultPlan;
 use bgpworms_types::Prefix;
@@ -185,9 +171,9 @@ pub trait CampaignSink: Sized {
 
 /// The campaign driver: a chunked, streaming view of one compiled session.
 ///
-/// Layered on [`CompiledSim`] — it replays the same per-prefix engine the
-/// session API uses (`threads` comes from the session too); only the result
-/// handling differs.
+/// Layered on [`CompiledSim`] — it replays the session's per-prefix engine
+/// (`threads` comes from the session too) and is what
+/// [`CompiledSim::run`] itself drives; only the sink differs.
 #[derive(Debug, Clone, Copy)]
 pub struct Campaign<'s, 't> {
     sim: &'s CompiledSim<'t>,
@@ -658,10 +644,9 @@ impl<'s, 't> Campaign<'s, 't> {
 
     /// The core loop: shards the not-yet-done chunk range over the
     /// session's worker threads (workers claim chunks from an atomic
-    /// counter and publish into per-chunk `Mutex<Option<…>>` slots — the
-    /// engine's sharding scheme one level up, with `Mutex` in place of
-    /// `OnceLock` so sinks only need `Send`), then merges finished chunk
-    /// sinks into the aggregate in chunk order.
+    /// counter and publish into per-chunk `Mutex<Option<…>>` slots, so
+    /// sinks only need `Send`), then merges finished chunk sinks into the
+    /// aggregate in chunk order. Every flood runs serially on its worker.
     fn advance<S, F>(
         &self,
         originations: &[Origination],
@@ -680,8 +665,6 @@ impl<'s, 't> Campaign<'s, 't> {
              re-folding prefixes; resume with the checkpoint's chunk size",
             cp.chunk_size, self.chunk_size
         );
-        // Same grouping as `CompiledSim::run` — shared helper, so the two
-        // paths cannot drift apart.
         let by_prefix = group_by_prefix(originations);
         let prefixes: Vec<Prefix> = by_prefix.keys().copied().collect();
 
@@ -724,14 +707,6 @@ impl<'s, 't> Campaign<'s, 't> {
         let memo = memo.as_ref();
 
         let threads = self.sim.threads().min(todo.len()).max(1);
-        // Nested-parallelism policy: when the chunk list is wide enough to
-        // occupy every worker with whole chunks, floods run serially inside
-        // each worker (intra = 1); when it collapses to a single lane —
-        // few chunks, or threads == 1 with a multi-threaded session — the
-        // worker budget moves *inside* each flood instead. Either way the
-        // results are identical (determinism suite), so this is purely a
-        // wall-clock placement choice.
-        let intra = if threads == 1 { self.sim.threads() } else { 1 };
         if threads == 1 {
             // One scratch for the whole advance: every prefix of every
             // chunk recycles the same arrays.
@@ -749,7 +724,6 @@ impl<'s, 't> Campaign<'s, 't> {
                     &classes,
                     memo,
                     new_sink,
-                    intra,
                 );
                 absorb(&mut cp, out, self.faults);
             }
@@ -801,7 +775,6 @@ impl<'s, 't> Campaign<'s, 't> {
                                     classes,
                                     memo,
                                     new_sink,
-                                    intra,
                                 )
                             }));
                             if outcome.is_err() {
@@ -862,7 +835,6 @@ impl<'s, 't> Campaign<'s, 't> {
         classes: &ClassTable,
         memo: Option<&ClassMemo>,
         new_sink: &F,
-        intra: usize,
     ) -> ChunkOutcome<S>
     where
         S: CampaignSink,
@@ -886,17 +858,16 @@ impl<'s, 't> Campaign<'s, 't> {
             } else {
                 out.class_hits += 1;
             }
-            let outcome =
-                match self.supervised(scratch, prefix, gi, by_prefix, classes, memo, intra) {
-                    Ok(outcome) => outcome,
-                    Err(failure) => {
-                        // Quarantined: no fold for this prefix. Its class
-                        // counters above stand — they are schedule
-                        // statistics, not execution statistics.
-                        out.failures.push(failure);
-                        continue;
-                    }
-                };
+            let outcome = match self.supervised(scratch, prefix, gi, by_prefix, classes, memo) {
+                Ok(outcome) => outcome,
+                Err(failure) => {
+                    // Quarantined: no fold for this prefix. Its class
+                    // counters above stand — they are schedule statistics,
+                    // not execution statistics.
+                    out.failures.push(failure);
+                    continue;
+                }
+            };
             if let Some(plan) = self.faults {
                 // The fold site sits *outside* supervision: sink state
                 // cannot be rolled back, so a fold fault aborts (and is
@@ -923,7 +894,6 @@ impl<'s, 't> Campaign<'s, 't> {
     /// simulated crash models process death, and swallowing it in-process
     /// would fake robustness the durable-checkpoint layer is supposed to
     /// provide.
-    #[allow(clippy::too_many_arguments)]
     fn supervised(
         &self,
         scratch: &mut crate::scratch::SimScratch,
@@ -932,11 +902,10 @@ impl<'s, 't> Campaign<'s, 't> {
         by_prefix: &BTreeMap<Prefix, Vec<&Origination>>,
         classes: &ClassTable,
         memo: Option<&ClassMemo>,
-        intra: usize,
     ) -> Result<PrefixOutcome, PrefixFailure> {
         let attempts = match self.policy {
             FaultPolicy::Abort => {
-                return Ok(self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo, intra))
+                return Ok(self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo))
             }
             FaultPolicy::Retry { attempts } | FaultPolicy::Quarantine { attempts } => {
                 attempts.max(1)
@@ -945,7 +914,7 @@ impl<'s, 't> Campaign<'s, 't> {
         let mut last = String::new();
         for _ in 0..attempts {
             match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo, intra)
+                self.prefix_outcome(scratch, prefix, gi, by_prefix, classes, memo)
             })) {
                 Ok(outcome) => return Ok(outcome),
                 Err(payload) => {
@@ -979,7 +948,6 @@ impl<'s, 't> Campaign<'s, 't> {
     /// the fault to exactly the targeted prefixes, keeping
     /// memoized ≡ unmemoized property-true with engine faults in play
     /// (locked in by `tests/faults.rs`).
-    #[allow(clippy::too_many_arguments)]
     fn prefix_outcome(
         &self,
         scratch: &mut crate::scratch::SimScratch,
@@ -988,7 +956,6 @@ impl<'s, 't> Campaign<'s, 't> {
         by_prefix: &BTreeMap<Prefix, Vec<&Origination>>,
         classes: &ClassTable,
         memo: Option<&ClassMemo>,
-        intra: usize,
     ) -> PrefixOutcome {
         if let Some(plan) = self.faults {
             // Consulted once per *member* (before any memo lookup), so the
@@ -998,9 +965,7 @@ impl<'s, 't> Campaign<'s, 't> {
         }
         let memo = memo.filter(|_| !self.engine_fault_targeted(prefix));
         match memo {
-            None => self
-                .sim
-                .run_prefix(scratch, prefix, &by_prefix[&prefix], intra),
+            None => self.sim.run_prefix(scratch, prefix, &by_prefix[&prefix]),
             Some(memo) => {
                 // A poisoned slot is still consistent: a panicking
                 // simulation never half-fills `outcome`, so we can
@@ -1009,11 +974,7 @@ impl<'s, 't> Campaign<'s, 't> {
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 if slot.outcome.is_none() {
-                    slot.outcome =
-                        Some(
-                            self.sim
-                                .run_prefix(scratch, prefix, &by_prefix[&prefix], intra),
-                        );
+                    slot.outcome = Some(self.sim.run_prefix(scratch, prefix, &by_prefix[&prefix]));
                 }
                 slot.remaining -= 1;
                 let stored = if slot.remaining == 0 {
@@ -1050,6 +1011,22 @@ impl<'s, 't> Campaign<'s, 't> {
         self.faults
             .is_some_and(|plan| plan.targets(fault_site::ENGINE_FLOOD, prefix_fault_key(prefix)))
     }
+}
+
+/// Groups episodes by prefix, preserving time order within each prefix
+/// (stable sort, so same-time duplicates keep schedule order). This is
+/// [`CompiledSim::run`]'s grouping too; the one-prefix paths
+/// (`run_snapshot`, `run_delta_prefix`) apply the same stable time sort to
+/// their episodes.
+fn group_by_prefix(originations: &[Origination]) -> BTreeMap<Prefix, Vec<&Origination>> {
+    let mut by_prefix: BTreeMap<Prefix, Vec<&Origination>> = BTreeMap::new();
+    for o in originations {
+        by_prefix.entry(o.prefix).or_default().push(o);
+    }
+    for eps in by_prefix.values_mut() {
+        eps.sort_by_key(|o| o.time);
+    }
+    by_prefix
 }
 
 /// Digest of a schedule's sorted prefix list, binding checkpoints to the

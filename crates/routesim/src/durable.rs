@@ -12,10 +12,14 @@
 //!
 //! Like the rest of the workspace, no serialization dependency is used:
 //! the writer emits a fixed-field-order, no-whitespace JSON object, and the
-//! reader is a small strict cursor that accepts exactly that shape (plus
-//! insignificant whitespace). Strictness is the point — a checkpoint is a
-//! correctness artifact, and a half-understood one must be rejected, not
-//! best-effort repaired. The format carries a version tag (`"v":1`) so a
+//! reader is a small strict cursor that accepts exactly the writer's
+//! output: any text it restores is re-serialized byte for byte, and
+//! anything else — whitespace, leading zeros, non-canonical escapes or
+//! prefixes, a sink encoding its own `encode` would not produce — is
+//! rejected. Strictness is the point — a checkpoint is a correctness
+//! artifact, and a half-understood one must be rejected, not best-effort
+//! repaired. The decoder is total: no input panics it (fuzzed by
+//! `tests/faults.rs`). The format carries a version tag (`"v":1`) so a
 //! future shape change fails loud instead of misreading old files.
 //!
 //! Restore validation is layered: `from_json` checks the version and the
@@ -99,8 +103,10 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
     /// Restores a checkpoint from [`CampaignCheckpoint::to_json`] text.
     ///
     /// Rejects (with a diagnostic) any version other than 1, any field out
-    /// of order or missing, and any malformed value — a durable checkpoint
-    /// is a correctness artifact, so a half-understood one must fail loud.
+    /// of order or missing, any malformed value, and any text that
+    /// [`CampaignCheckpoint::to_json`] would not write back byte for byte
+    /// — a durable checkpoint is a correctness artifact, so a
+    /// half-understood one must fail loud.
     /// Schedule-digest and chunk-size consistency against the resuming
     /// campaign are checked by [`crate::Campaign::resume`], same as for
     /// in-memory checkpoints.
@@ -179,7 +185,7 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
         let sink = S::decode(&p.string()?)?;
         p.token("}")?;
         p.end()?;
-        Ok(CampaignCheckpoint {
+        let cp = CampaignCheckpoint {
             sink,
             chunks_done,
             chunk_size,
@@ -190,7 +196,15 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
             class_hits,
             diverged,
             failures,
-        })
+        };
+        // The parse accepts some spellings the writer never emits (leading
+        // zeros, `\u` escapes of printable characters, non-canonical
+        // prefixes or sink encodings); refusing any text that does not
+        // re-serialize to itself keeps restore an exact inverse of save.
+        if cp.to_json() != text {
+            return Err("checkpoint text is not in the canonical form to_json writes".into());
+        }
+        Ok(cp)
     }
 }
 
@@ -228,9 +242,8 @@ fn hex_digit(n: u32) -> char {
     char::from_digit(n, 16).expect("nibble is a hex digit")
 }
 
-/// A strict cursor over the checkpoint text: fixed token sequence, with
-/// insignificant whitespace tolerated between tokens. Every method returns
-/// a positioned diagnostic on mismatch.
+/// A strict cursor over the checkpoint text: fixed token sequence, no
+/// whitespace. Every method returns a positioned diagnostic on mismatch.
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
@@ -241,12 +254,6 @@ impl<'a> Parser<'a> {
         Parser { text, pos: 0 }
     }
 
-    fn skip_ws(&mut self) {
-        let rest = &self.text[self.pos..];
-        let trimmed = rest.trim_start_matches([' ', '\t', '\n', '\r']);
-        self.pos += rest.len() - trimmed.len();
-    }
-
     fn err(&self, expected: &str) -> String {
         let rest: String = self.text[self.pos..].chars().take(24).collect();
         format!(
@@ -255,7 +262,7 @@ impl<'a> Parser<'a> {
         )
     }
 
-    /// Consumes the literal `token` (after whitespace) or errors.
+    /// Consumes the literal `token` or errors.
     fn token(&mut self, token: &str) -> Result<(), String> {
         if self.try_token(token) {
             Ok(())
@@ -266,7 +273,6 @@ impl<'a> Parser<'a> {
 
     /// Consumes the literal `token` if present; reports whether it did.
     fn try_token(&mut self, token: &str) -> bool {
-        self.skip_ws();
         if self.text[self.pos..].starts_with(token) {
             self.pos += token.len();
             true
@@ -275,9 +281,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// True if the next non-whitespace character is `c` (not consumed).
-    fn peek(&mut self, c: char) -> bool {
-        self.skip_ws();
+    /// True if the next character is `c` (not consumed).
+    fn peek(&self, c: char) -> bool {
         self.text[self.pos..].starts_with(c)
     }
 
@@ -289,7 +294,6 @@ impl<'a> Parser<'a> {
     }
 
     fn u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
         let rest = &self.text[self.pos..];
         let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
         if digits == 0 {
@@ -377,9 +381,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Asserts the whole text was consumed (trailing whitespace allowed).
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
+    /// Asserts the whole text was consumed.
+    fn end(&self) -> Result<(), String> {
         if self.pos == self.text.len() {
             Ok(())
         } else {
@@ -508,6 +511,20 @@ mod tests {
             (
                 sample().to_json().replacen(":123456", ":123456.5", 1),
                 "non-integer events",
+            ),
+            (
+                sample().to_json().replacen(":123456", ":0123456", 1),
+                "leading zero",
+            ),
+            (
+                sample()
+                    .to_json()
+                    .replacen(",\"events\"", ", \"events\"", 1),
+                "whitespace between tokens",
+            ),
+            (
+                sample().to_json().replacen("10.1.0.0/16", "10.1.0.1/16", 1),
+                "host bits in a prefix",
             ),
         ] {
             assert!(

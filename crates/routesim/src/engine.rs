@@ -64,18 +64,21 @@
 //! # Parallelism & determinism
 //!
 //! Distinct prefixes never interact (no aggregation, no per-table limits),
-//! so the engine shards the prefix set across `std::thread::scope` workers.
-//! Workers claim prefixes dynamically from an atomic counter — each reusing
-//! its own scratch across every prefix it claims — and publish into
-//! per-prefix `OnceLock` slots (disjoint writes, no locks, balanced load);
-//! results are merged in prefix order and observations are sorted by
+//! so parallelism lives *across* prefixes, never inside one flood: every
+//! flood runs the serial export sweep. [`CompiledSim::run`] is a
+//! [`Campaign`] over the session folding into a private collecting sink —
+//! the campaign's chunk workers (one reusable scratch each) are the only
+//! multi-prefix driver, with its supervision, flood memoization and
+//! thread-count-independent fold/merge order. The sink concatenates
+//! outcomes in ascending prefix order and sorts observations by
 //! `(time, peer, prefix)`, which makes `threads = 1` and `threads = N`
 //! produce identical [`SimResult`]s — and repeated [`CompiledSim::run`]
-//! calls bit-identical (`run` never mutates the session). Scratch reuse is
-//! semantically invisible (`tests/determinism.rs` pins reuse ≡ fresh state
-//! per prefix). A panic inside one worker is caught per prefix and
-//! re-raised with the failing prefix named.
+//! calls bit-identical (`run` never mutates the session). Scratch reuse and
+//! memoization are semantically invisible (`tests/determinism.rs` pins
+//! reuse ≡ fresh state per prefix and memoized ≡ unmemoized). A worker
+//! panic is re-raised naming its chunk.
 
+use crate::campaign::{Campaign, CampaignSink};
 use crate::classify::{ClassKey, PrefixClassifier};
 use crate::collector::{CollectorObservation, CollectorSpec, FeedKind};
 use crate::fault::{fault_site, prefix_fault_key};
@@ -83,15 +86,11 @@ use crate::policy::{CommunityPropagationPolicy, IrrDatabase, RouterConfig};
 use crate::route::{Route, RouteArena, RouteId};
 use crate::router::{self, NodeState, RibEntry, ValidationCtx};
 use crate::scratch::{EventQueue, SimScratch, SimSnapshot};
-use crate::sweep;
 use bgpworms_failpoint::FaultPlan;
 use bgpworms_topology::{NodeId, Role, Tier, Topology};
 use bgpworms_types::{AsPath, Asn, Community, Origin, Prefix};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// One announcement (or withdrawal) episode injected at an origin AS.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,7 +208,6 @@ pub struct SimSpec<'a> {
     rpki: Cow<'a, IrrDatabase>,
     retain: RetainRoutes,
     threads: usize,
-    intra_floor: usize,
     faults: Option<&'a FaultPlan>,
 }
 
@@ -225,7 +223,6 @@ impl<'a> SimSpec<'a> {
             rpki: Cow::Owned(IrrDatabase::new()),
             retain: RetainRoutes::None,
             threads: 1,
-            intra_floor: DEFAULT_INTRA_FLOOR,
             faults: None,
         }
     }
@@ -286,33 +283,24 @@ impl<'a> SimSpec<'a> {
         self
     }
 
-    /// Sets the worker-thread count for per-prefix sharding (1 =
-    /// sequential; results are identical either way). Single-prefix (and
-    /// few-prefix) schedules spend the same worker count *inside* each
-    /// flood instead — see [`SimSpec::intra_floor`].
+    /// Sets the worker-thread count of the campaign driver behind
+    /// [`CompiledSim::run`] and every [`Campaign`] over the session (1 =
+    /// sequential; results are identical either way). Workers shard the
+    /// schedule by prefix; each flood itself always runs serially, so a
+    /// one-prefix schedule uses one worker whatever the count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the minimum dirty-round width (nodes recomputing exports in
-    /// one round) below which the intra-flood sharded sweep falls back to
-    /// the serial sweep. Small rounds are dominated by thread hand-off, so
-    /// the default keeps them serial; determinism tests set the floor to 1
-    /// to force sharding onto tiny worlds. Results are independent of the
-    /// floor (property-locked).
-    pub fn intra_floor(mut self, floor: usize) -> Self {
-        self.intra_floor = floor;
         self
     }
 
     /// Attaches a deterministic fault plan, consulted at the engine's
     /// registered fault sites (`engine::flood`, `snapshot::capture`,
     /// `snapshot::restore` — see [`crate::fault_site`]) and inherited by
-    /// campaigns built over the compiled session. Fault injection is never
-    /// configured through the environment; attaching a plan here is the
-    /// only way to arm it. With no plan attached every site is a single
-    /// `None` check.
+    /// campaigns built over the compiled session — including the one
+    /// behind [`CompiledSim::run`], so the campaign sites fire there too.
+    /// Fault injection is never configured through the environment;
+    /// attaching a plan here is the only way to arm it. With no plan
+    /// attached every site is a single `None` check.
     pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -368,20 +356,12 @@ impl<'a> SimSpec<'a> {
             rpki: self.rpki,
             retain: self.retain,
             threads: self.threads,
-            intra_floor: self.intra_floor,
             event_budget: (adjacency_entries * 64).max(10_000),
             classifier,
             faults: self.faults,
         }
     }
 }
-
-/// Default [`SimSpec::intra_floor`]: dirty rounds narrower than this run
-/// the serial export sweep even when intra-flood workers are available.
-/// Internet-scale floods spend their time in rounds thousands of nodes
-/// wide, so the floor only trims the convergence tail and flood edges
-/// where per-round thread hand-off would dominate.
-const DEFAULT_INTRA_FLOOR: usize = 64;
 
 /// A compiled simulation session: everything the per-event hot path
 /// touches, resolved once by [`SimSpec::compile`] and reusable across any
@@ -409,9 +389,6 @@ pub struct CompiledSim<'a> {
     rpki: Cow<'a, IrrDatabase>,
     retain: RetainRoutes,
     threads: usize,
-    /// Minimum dirty-round width for the intra-flood sharded sweep — see
-    /// [`SimSpec::intra_floor`].
-    intra_floor: usize,
     /// Event budget per prefix (hoisted out of the prefix loop: the edge
     /// sum is one CSR length read).
     event_budget: u64,
@@ -440,12 +417,6 @@ impl<'a> CompiledSim<'a> {
         self.threads = threads;
     }
 
-    /// Re-targets the intra-flood sharding floor without recompiling
-    /// (results are independent of it) — see [`SimSpec::intra_floor`].
-    pub fn set_intra_floor(&mut self, floor: usize) {
-        self.intra_floor = floor;
-    }
-
     /// Collector names in spec order — the index space of
     /// [`PrefixOutcome::observations`].
     pub fn collector_names(&self) -> &[String] {
@@ -460,16 +431,43 @@ impl<'a> CompiledSim<'a> {
 
     /// Runs all origination episodes to convergence and collects results.
     /// Callable any number of times; the session is never mutated.
+    ///
+    /// This is a [`Campaign`] over the session (default chunking, flood
+    /// memoization on, abort on panic) folding every prefix into one
+    /// collecting sink, so the session's `threads` shard the schedule by
+    /// prefix and an attached fault plan fires at the campaign sites too.
     pub fn run(&self, originations: &[Origination]) -> SimResult {
-        let by_prefix = group_by_prefix(originations);
-        self.run_grouped(&by_prefix, None).0
+        let width = self.collector_names.len();
+        let run = Campaign::new(self).run(originations, || Collected {
+            observations: vec![Vec::new(); width],
+            final_routes: BTreeMap::new(),
+        });
+        let mut out = SimResult {
+            observations: BTreeMap::new(),
+            final_routes: run.sink.final_routes,
+            events: run.events,
+            converged: run.converged,
+        };
+        for (name, mut obs) in self.collector_names.iter().zip(run.sink.observations) {
+            out.observations
+                .entry(name.clone())
+                .or_default()
+                .append(&mut obs);
+        }
+        for obs in out.observations.values_mut() {
+            obs.sort_by_key(|o| (o.time, o.peer, o.prefix));
+        }
+        out
     }
 
     /// Like [`CompiledSim::run`], additionally capturing `prefix`'s
-    /// converged state as a [`SimSnapshot`] — in-flight, on the worker that
-    /// simulated it, with no second convergence pass. The snapshot is the
-    /// baseline input of [`CompiledSim::run_delta`] /
-    /// [`CompiledSim::run_delta_on`].
+    /// converged state as a [`SimSnapshot`] — the baseline input of
+    /// [`CompiledSim::run_delta_prefix`] / [`CompiledSim::run_delta_on`].
+    ///
+    /// The rest of the schedule goes through [`CompiledSim::run`]; `prefix`
+    /// converges on one fresh scratch that is captured in flight, with no
+    /// second convergence pass, and its outcome is folded into the result
+    /// the same way [`CompiledSim::run_delta_on`] folds a delta's.
     ///
     /// # Panics
     ///
@@ -480,16 +478,21 @@ impl<'a> CompiledSim<'a> {
         originations: &[Origination],
         prefix: Prefix,
     ) -> (SimResult, SimSnapshot) {
-        let by_prefix = group_by_prefix(originations);
+        let (mut episodes, rest): (Vec<&Origination>, Vec<&Origination>) =
+            originations.iter().partition(|o| o.prefix == prefix);
         assert!(
-            by_prefix.contains_key(&prefix),
+            !episodes.is_empty(),
             "snapshot prefix {prefix} does not appear in the schedule"
         );
-        let (result, snap) = self.run_grouped(&by_prefix, Some(prefix));
-        // lint: infallible the assert above pins the prefix into the
-        // schedule, so exactly one worker simulated and captured it (a
-        // worker panic was already re-raised during the merge)
-        (result, snap.expect("snapshot prefix simulated"))
+        // Same stable time sort the campaign's `group_by_prefix` applies.
+        episodes.sort_by_key(|o| o.time);
+        let rest: Vec<Origination> = rest.into_iter().cloned().collect();
+        let mut result = self.run(&rest);
+        let mut scratch = self.new_scratch();
+        let outcome = self.run_prefix(&mut scratch, prefix, &episodes);
+        let snap = self.snapshot(&scratch, prefix, &episodes, outcome.clone());
+        self.patch_prefix(&mut result, prefix, None, outcome);
+        (result, snap)
     }
 
     /// Incrementally re-converges `snapshot`'s prefix after appending the
@@ -520,7 +523,7 @@ impl<'a> CompiledSim<'a> {
                 snapshot.last_time
             );
         }
-        // Same stable time sort as `group_by_prefix` applies per prefix.
+        // Same stable time sort the campaign's `group_by_prefix` applies.
         let mut episodes: Vec<&Origination> = delta.iter().collect();
         episodes.sort_by_key(|o| o.time);
         // A delta replay re-enters the flood, so it consults the same
@@ -536,44 +539,24 @@ impl<'a> CompiledSim<'a> {
         }
         scratch.restore(self.topo.slot_offsets(), snapshot);
         let mut outcome = snapshot.baseline_outcome().clone();
-        // A delta replay is a single-prefix run, so the whole worker budget
-        // goes intra-flood (same policy as `run_grouped`'s serial branch).
         self.continue_prefix(
             &mut scratch,
             snapshot.prefix(),
             &episodes,
             &mut outcome,
-            self.threads,
             budget,
         );
         outcome
     }
 
-    /// Runs `delta` against a converged baseline snapshot and folds the
-    /// outcome into a [`SimResult`] — bit-identical to
-    /// `run(baseline ++ delta)` when the baseline schedule contained only
-    /// the snapshot's prefix (the equivalence `tests/determinism.rs`
-    /// property-locks). For a snapshot taken inside a multi-prefix
-    /// baseline, use [`CompiledSim::run_delta_on`] to patch the full
-    /// baseline result instead.
-    pub fn run_delta(&self, snapshot: &SimSnapshot, delta: &[Origination]) -> SimResult {
-        let outcome = self.run_delta_prefix(snapshot, delta);
-        self.collect(vec![snapshot.prefix()], vec![outcome])
-    }
-
-    /// Patches a multi-prefix `baseline` result with a delta re-convergence
-    /// of `snapshot`'s prefix: every other prefix's contribution is kept
-    /// verbatim; the snapshot prefix's events, convergence flag, and
-    /// retained routes are replaced by the full-schedule delta outcome; and
-    /// the delta's *new* observations are appended and re-sorted.
-    /// Observation keys `(time, peer, prefix)` are unique, so append +
-    /// re-sort reproduces the fresh merge byte for byte — the whole call is
-    /// bit-identical to rerunning the entire baseline schedule plus
-    /// `delta`, at the cost of one prefix's blast radius.
-    ///
-    /// `baseline` must be the [`SimResult`] of the run that captured
-    /// `snapshot` (see [`CompiledSim::run_snapshot`]); the patch arithmetic
-    /// is meaningless against any other result.
+    /// Patches `baseline` — the [`SimResult`] of the
+    /// [`CompiledSim::run_snapshot`] call that captured `snapshot` — with a
+    /// delta re-convergence of `snapshot`'s prefix: every other prefix's
+    /// contribution is kept verbatim, and the snapshot prefix's is replaced
+    /// by the full-schedule delta outcome. The whole call is bit-identical
+    /// to rerunning the entire baseline schedule plus `delta`, at the cost
+    /// of one prefix's blast radius; the patch arithmetic is meaningless
+    /// against any other result.
     pub fn run_delta_on(
         &self,
         baseline: &SimResult,
@@ -581,103 +564,80 @@ impl<'a> CompiledSim<'a> {
         delta: &[Origination],
     ) -> SimResult {
         let outcome = self.run_delta_prefix(snapshot, delta);
-        let base = snapshot.baseline_outcome();
         let mut out = baseline.clone();
-        // Swap the prefix's baseline event count for its full-schedule one.
-        out.events = out.events - base.events + outcome.events;
-        // `outcome.converged` starts from the baseline flag and can only
-        // drop, so ANDing recovers exactly the fresh run's AND-over-prefixes.
-        out.converged = baseline.converged && outcome.converged;
-        for (ci, name) in self.collector_names.iter().enumerate() {
-            let fresh = &outcome.observations[ci][base.observations[ci].len()..];
-            if fresh.is_empty() {
+        self.patch_prefix(
+            &mut out,
+            snapshot.prefix(),
+            Some(snapshot.baseline_outcome()),
+            outcome,
+        );
+        out
+    }
+
+    /// Folds `prefix`'s `outcome` into `result` in place of `old`, the
+    /// prefix's contribution so far (`None` when `result` holds none of
+    /// it): the event count is swapped, convergence ANDed (a delta outcome
+    /// starts from the baseline flag and can only drop, so this recovers
+    /// the fresh run's AND over prefixes), the observations past `old`'s
+    /// are appended and re-sorted, and the retained routes replaced.
+    /// Sorting is stable and only a prefix's own observations can share a
+    /// `(time, peer, prefix)` key, and finals are keyed by prefix, so the
+    /// result does not depend on the order prefixes were folded in.
+    fn patch_prefix(
+        &self,
+        result: &mut SimResult,
+        prefix: Prefix,
+        old: Option<&PrefixOutcome>,
+        outcome: PrefixOutcome,
+    ) {
+        result.events = result.events - old.map_or(0, |o| o.events) + outcome.events;
+        result.converged &= outcome.converged;
+        for (ci, obs) in outcome.observations.into_iter().enumerate() {
+            let seen = old.map_or(0, |o| o.observations[ci].len());
+            if obs.len() == seen {
                 continue;
             }
-            let obs = out.observations.entry(name.clone()).or_default();
-            obs.extend(fresh.iter().cloned());
-            obs.sort_by_key(|o| (o.time, o.peer, o.prefix));
+            let all = result
+                .observations
+                .entry(self.collector_names[ci].clone())
+                .or_default();
+            all.extend(obs.into_iter().skip(seen));
+            all.sort_by_key(|o| (o.time, o.peer, o.prefix));
         }
         match outcome.final_routes {
             Some(routes) => {
-                out.final_routes.insert(snapshot.prefix(), routes);
+                result.final_routes.insert(prefix, routes);
             }
             None => {
-                out.final_routes.remove(&snapshot.prefix());
+                result.final_routes.remove(&prefix);
             }
         }
-        out
+    }
+}
+
+/// The collecting sink behind [`CompiledSim::run`]: observations per
+/// collector position and retained finals, concatenated in the campaign's
+/// ascending prefix order (`run` sorts the observations at the end).
+struct Collected {
+    observations: Vec<Vec<CollectorObservation>>,
+    final_routes: BTreeMap<Prefix, BTreeMap<Asn, Route>>,
+}
+
+impl CampaignSink for Collected {
+    fn fold(&mut self, prefix: Prefix, outcome: PrefixOutcome) {
+        for (all, mut obs) in self.observations.iter_mut().zip(outcome.observations) {
+            all.append(&mut obs);
+        }
+        if let Some(routes) = outcome.final_routes {
+            self.final_routes.insert(prefix, routes);
+        }
     }
 
-    /// Shared execution path of `run`/`run_snapshot`: simulates every
-    /// prefix (serially or sharded), capturing `snap_prefix`'s converged
-    /// worker scratch when requested, then folds the per-prefix outcomes.
-    fn run_grouped(
-        &self,
-        by_prefix: &BTreeMap<Prefix, Vec<&Origination>>,
-        snap_prefix: Option<Prefix>,
-    ) -> (SimResult, Option<SimSnapshot>) {
-        let prefixes: Vec<Prefix> = by_prefix.keys().copied().collect();
-        let snap_slot: OnceLock<SimSnapshot> = OnceLock::new();
-        let results: Vec<PrefixOutcome> = if self.threads > 1 && prefixes.len() > 1 {
-            run_parallel(self, by_prefix, &prefixes, snap_prefix, &snap_slot)
-        } else {
-            // Serial branch: one prefix at a time, so the worker budget is
-            // spent *inside* each flood (intra = self.threads) instead of
-            // across prefixes. Reached when threads == 1 (intra is then 1
-            // too — fully sequential) or when the schedule has ≤ 1 prefix.
-            let mut scratch = self.new_scratch();
-            prefixes
-                .iter()
-                .map(|p| {
-                    let outcome = self.run_prefix(&mut scratch, *p, &by_prefix[p], self.threads);
-                    maybe_capture(
-                        self,
-                        &scratch,
-                        snap_prefix,
-                        *p,
-                        &by_prefix[p],
-                        &outcome,
-                        &snap_slot,
-                    );
-                    outcome
-                })
-                .collect()
-        };
-        (self.collect(prefixes, results), snap_slot.into_inner())
-    }
-
-    /// Folds per-prefix outcomes (in prefix order) into a [`SimResult`]:
-    /// summed events, ANDed convergence, per-prefix retained route maps,
-    /// and collector observations sorted by `(time, peer, prefix)`.
-    fn collect(&self, prefixes: Vec<Prefix>, results: Vec<PrefixOutcome>) -> SimResult {
-        let mut out = SimResult {
-            converged: true,
-            ..SimResult::default()
-        };
-        for name in &self.collector_names {
-            out.observations.entry(name.clone()).or_default();
+    fn merge(&mut self, other: Self) {
+        for (all, mut obs) in self.observations.iter_mut().zip(other.observations) {
+            all.append(&mut obs);
         }
-        for (prefix, outcome) in prefixes.into_iter().zip(results) {
-            out.events += outcome.events;
-            out.converged &= outcome.converged;
-            for (ci, mut obs) in outcome.observations.into_iter().enumerate() {
-                if !obs.is_empty() {
-                    // lint: infallible the observations map is pre-seeded
-                    // with every collector name before any worker runs
-                    out.observations
-                        .get_mut(&self.collector_names[ci])
-                        .expect("collector registered")
-                        .append(&mut obs);
-                }
-            }
-            if let Some(routes) = outcome.final_routes {
-                out.final_routes.insert(prefix, routes);
-            }
-        }
-        for obs in out.observations.values_mut() {
-            obs.sort_by_key(|o| (o.time, o.peer, o.prefix));
-        }
-        out
+        self.final_routes.extend(other.final_routes);
     }
 }
 
@@ -698,129 +658,12 @@ pub(crate) struct Event {
 
 /// The role `a` plays for `b`, given the role `b` plays for `a`. Edges are
 /// symmetric inverses by construction (`Topology::add_edge`).
-pub(crate) fn inverse_role(role: Role) -> Role {
+fn inverse_role(role: Role) -> Role {
     match role {
         Role::Customer => Role::Provider,
         Role::Provider => Role::Customer,
         Role::Peer => Role::Peer,
     }
-}
-
-/// Shards `prefixes` over scoped worker threads with dynamic load
-/// balancing: workers claim prefixes from a shared atomic counter (per-
-/// prefix convergence cost varies wildly, so static chunking would let one
-/// unlucky worker run the whole wall-clock) and publish each outcome into
-/// that prefix's own [`OnceLock`] slot — per-slot disjoint writes, no
-/// locks. Each worker allocates one [`SimScratch`] at spawn and recycles it
-/// across every prefix it claims. A panic while simulating one prefix is
-/// caught and re-raised naming the prefix (work a poisoned scratch might
-/// contribute afterwards is discarded: outcomes are merged in prefix order,
-/// claims are handed out in ascending order, and the merge re-raises at the
-/// failed prefix before reading anything the same worker produced later).
-fn run_parallel(
-    sim: &CompiledSim<'_>,
-    by_prefix: &BTreeMap<Prefix, Vec<&Origination>>,
-    prefixes: &[Prefix],
-    snap_prefix: Option<Prefix>,
-    snap_slot: &OnceLock<SimSnapshot>,
-) -> Vec<PrefixOutcome> {
-    let n = prefixes.len();
-    let results: Vec<OnceLock<Result<PrefixOutcome, String>>> =
-        (0..n).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..sim.threads.min(n) {
-            let (results, next) = (&results, &next);
-            scope.spawn(move || {
-                let mut scratch = sim.new_scratch();
-                loop {
-                    // ordering: pure claim ticket — only the RMW atomicity
-                    // matters (each index is handed out exactly once);
-                    // results are published via the slot Mutexes and the
-                    // scope join, not through this counter
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(prefix) = prefixes.get(i) else { break };
-                    // Workers already shard by prefix; nesting intra-flood
-                    // workers under them would oversubscribe the pool, so
-                    // each flood runs serially here (intra = 1).
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        sim.run_prefix(&mut scratch, *prefix, &by_prefix[prefix], 1)
-                    }));
-                    if let Ok(outcome) = &outcome {
-                        // Capture before the scratch is recycled for the
-                        // worker's next claim.
-                        maybe_capture(
-                            sim,
-                            &scratch,
-                            snap_prefix,
-                            *prefix,
-                            &by_prefix[prefix],
-                            outcome,
-                            snap_slot,
-                        );
-                    }
-                    let published = results[i]
-                        .set(outcome.map_err(|payload| panic_message(&payload)))
-                        .is_ok();
-                    debug_assert!(published, "slot {i} claimed twice");
-                }
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .zip(prefixes)
-        .map(|(slot, prefix)| {
-            // lint: infallible the lock is only taken inside the worker
-            // loop, outside the catch_unwind — no panic can poison it
-            match slot
-                .into_inner()
-                .expect("every prefix slot is written by exactly one worker")
-            {
-                Ok(outcome) => outcome,
-                Err(msg) => panic!("worker panicked while simulating prefix {prefix}: {msg}"),
-            }
-        })
-        .collect()
-}
-
-/// Publishes `prefix`'s converged scratch into `slot` when it is the
-/// requested snapshot prefix. Runs on the worker that just converged the
-/// prefix — the capture is in-flight; no second convergence pass exists.
-fn maybe_capture(
-    sim: &CompiledSim<'_>,
-    scratch: &SimScratch,
-    snap_prefix: Option<Prefix>,
-    prefix: Prefix,
-    episodes: &[&Origination],
-    outcome: &PrefixOutcome,
-    slot: &OnceLock<SimSnapshot>,
-) {
-    if snap_prefix != Some(prefix) {
-        return;
-    }
-    let published = slot
-        .set(sim.snapshot(scratch, prefix, episodes, outcome.clone()))
-        .is_ok();
-    debug_assert!(published, "snapshot prefix simulated twice");
-}
-
-/// Groups episodes by prefix, preserving time order within each prefix
-/// (stable sort, so same-time duplicates keep schedule order) — the shared
-/// pre-processing of [`CompiledSim::run`] and the campaign driver. The
-/// campaign ≡ run equivalence pinned by `tests/determinism.rs` depends on
-/// both paths using exactly this grouping.
-pub(crate) fn group_by_prefix(originations: &[Origination]) -> BTreeMap<Prefix, Vec<&Origination>> {
-    let mut by_prefix: BTreeMap<Prefix, Vec<&Origination>> = BTreeMap::new();
-    for o in originations {
-        by_prefix.entry(o.prefix).or_default().push(o);
-    }
-    for eps in by_prefix.values_mut() {
-        eps.sort_by_key(|o| o.time);
-    }
-    by_prefix
 }
 
 /// Total rendering of a caught panic payload: every payload produces a
@@ -926,7 +769,7 @@ impl Routers<'_> {
 }
 
 /// Maps a neighbor role to its index in the export sweep's per-role memo.
-pub(crate) fn role_ix(role: Role) -> usize {
+fn role_ix(role: Role) -> usize {
     match role {
         Role::Customer => 0,
         Role::Provider => 1,
@@ -947,15 +790,12 @@ impl CompiledSim<'_> {
     }
 
     /// Runs the episodes of a single prefix to convergence, on the calling
-    /// worker's reusable `scratch` (recycled via `begin_prefix`). `intra`
-    /// is the worker count for the intra-flood sharded export sweep (1 =
-    /// serial sweep; results are identical either way).
+    /// worker's reusable `scratch` (recycled via `begin_prefix`).
     pub(crate) fn run_prefix(
         &self,
         scratch: &mut SimScratch,
         prefix: Prefix,
         episodes: &[&Origination],
-        intra: usize,
     ) -> PrefixOutcome {
         let budget = self.prefix_budget(prefix);
         scratch.begin_prefix();
@@ -965,7 +805,7 @@ impl CompiledSim<'_> {
             events: 0,
             converged: true,
         };
-        self.continue_prefix(scratch, prefix, episodes, &mut outcome, intra, budget);
+        self.continue_prefix(scratch, prefix, episodes, &mut outcome, budget);
         outcome
     }
 
@@ -1025,23 +865,12 @@ impl CompiledSim<'_> {
     /// updates in one round therefore diffs its adjacency once instead of
     /// once per update, and a node whose best route did not change skips
     /// the recompute entirely (`NodeState::begin_export_pass`).
-    ///
-    /// One further hot-path structure rides on the round batching:
-    ///
-    /// * **Sharded export sweeps** — when `intra > 1` and a round's dirty
-    ///   set is at least `intra_floor` wide, the round's export
-    ///   recomputation is partitioned across `intra` scoped workers by
-    ///   contiguous node ranges (see [`sweep`]); the serial merge interns
-    ///   and enqueues in exactly the order the serial sweep would, so
-    ///   results are bit-identical (property-locked by
-    ///   `tests/determinism.rs`).
     fn continue_prefix(
         &self,
         scratch: &mut SimScratch,
         prefix: Prefix,
         episodes: &[&Origination],
         outcome: &mut PrefixOutcome,
-        intra: usize,
         budget: u64,
     ) {
         let vctx = ValidationCtx {
@@ -1172,18 +1001,8 @@ impl CompiledSim<'_> {
                 if dirty.is_empty() {
                     break;
                 }
-                let order = dirty.sorted();
-                if intra > 1 && order.len() >= self.intra_floor.max(1) {
-                    self.sharded_round(order, intra, &mut routers, arena, queue);
-                } else {
-                    for &i in order {
-                        self.emit_exports(
-                            NodeId::from_index(i as usize),
-                            &mut routers,
-                            arena,
-                            queue,
-                        );
-                    }
+                for &i in dirty.sorted() {
+                    self.emit_exports(NodeId::from_index(i as usize), &mut routers, arena, queue);
                 }
                 dirty.clear();
             }
@@ -1332,85 +1151,6 @@ impl CompiledSim<'_> {
                     sender_role: inverse_role(role),
                     route: update,
                 });
-            }
-        }
-    }
-
-    /// One dirty round's export recomputation, sharded across `intra`
-    /// scoped workers. The compute phase (see [`sweep`]) partitions the
-    /// round's dirty nodes into contiguous ranges and runs the per-node
-    /// policy work read-only against the pre-round arena, each worker
-    /// owning only its range's `last_emit_best` lane; this serial merge
-    /// then walks the plans in ascending node order, interning each
-    /// computed route at its first use and diffing/enqueuing exactly as
-    /// [`CompiledSim::emit_exports`] would — so arena id-mint order, the
-    /// `exported` cache, and the event sequence are bit-identical to the
-    /// serial sweep's (property-locked by `tests/determinism.rs`).
-    fn sharded_round(
-        &self,
-        order: &[u32],
-        intra: usize,
-        routers: &mut Routers<'_>,
-        arena: &mut RouteArena,
-        queue: &mut EventQueue,
-    ) {
-        let plans = {
-            let world = sweep::SweepWorld {
-                topo: self.topo,
-                configs: &self.configs,
-                asns: &self.asns,
-                is_rs: &self.is_rs,
-                offsets: routers.offsets,
-                rib_in: routers.rib_in,
-                local: routers.local,
-            };
-            sweep::compute_plans_sharded(&world, order, intra, routers.last_emit_best, arena)
-        };
-        for mut plan in plans {
-            let i = plan.node as usize;
-            let id = NodeId::from_index(i);
-            let mut node = routers.node(i);
-            // Mirrors the serial sweep's per-role memo: the plan carries
-            // each role's computed route once; the first neighbor of that
-            // role interns it, later ones reuse the id.
-            let mut ids: [Option<Option<RouteId>>; 3] = [None; 3];
-            for (slot, (nb, role, _nb_is_rs), rev_slot) in self.topo.adjacency_with_reverse_ix(id) {
-                let new = if !plan.has_best {
-                    None
-                } else if plan.uniform {
-                    if plan.learned_from == Some(self.asns[nb.index()]) {
-                        None
-                    } else {
-                        match ids[role_ix(role)] {
-                            Some(cached) => cached,
-                            None => {
-                                // lint: infallible the compute phase fills
-                                // a role's value whenever the node has a
-                                // non-learned-from neighbor of that role —
-                                // exactly the condition to reach this arm
-                                let value = plan.role_values[role_ix(role)]
-                                    .take()
-                                    .expect("compute phase filled every role the merge reads");
-                                let value = value.map(|route| arena.intern(route));
-                                ids[role_ix(role)] = Some(value);
-                                value
-                            }
-                        }
-                    }
-                } else {
-                    plan.per_neighbor[slot]
-                        .take()
-                        .map(|route| arena.intern(route))
-                };
-                if let Some(update) = node.diff_export(slot, new) {
-                    queue.push_back(Event {
-                        from: id,
-                        to: nb,
-                        to_slot: rev_slot,
-                        sender_role: inverse_role(role),
-                        route: update,
-                    });
-                }
             }
         }
     }
@@ -2007,7 +1747,7 @@ mod tests {
 
         let mut dirty = sim.new_scratch();
         let wide = Origination::announce(Asn::new(4), p("20.0.0.0/16"), vec![]);
-        sim.run_prefix(&mut dirty, p("20.0.0.0/16"), &[&wide], 1);
+        sim.run_prefix(&mut dirty, p("20.0.0.0/16"), &[&wide]);
         dirty.restore(topo.slot_offsets(), &snap);
         let recaptured = dirty.capture(
             topo.slot_offsets(),
@@ -2031,14 +1771,14 @@ mod tests {
         let topo = line_topo();
         let sim = observed_sim(&topo);
         let ep = Origination::announce(Asn::new(4), p("10.0.0.0/16"), vec![]);
-        let reference = sim.run_prefix(&mut sim.new_scratch(), p("10.0.0.0/16"), &[&ep], 1);
+        let reference = sim.run_prefix(&mut sim.new_scratch(), p("10.0.0.0/16"), &[&ep]);
 
         // Age a used scratch to the brink: translate its stamps so the
         // next `begin_prefix` lands exactly on `u32::MAX` and the one
         // after takes the wrap branch. Stale stamps map to 0 (they only
         // need to stay != every future epoch).
         let mut worn = sim.new_scratch();
-        let warmup = sim.run_prefix(&mut worn, p("20.0.0.0/16"), &[&ep], 1);
+        let warmup = sim.run_prefix(&mut worn, p("20.0.0.0/16"), &[&ep]);
         assert!(warmup.converged);
         let live = worn.epoch;
         worn.epoch = u32::MAX - 1;
@@ -2046,11 +1786,11 @@ mod tests {
             *stamp = if *stamp == live { u32::MAX - 1 } else { 0 };
         }
 
-        let at_max = sim.run_prefix(&mut worn, p("10.0.0.0/16"), &[&ep], 1);
+        let at_max = sim.run_prefix(&mut worn, p("10.0.0.0/16"), &[&ep]);
         assert_eq!(worn.epoch, u32::MAX, "the run before the wrap sits at MAX");
         assert_eq!(at_max, reference, "outcome at epoch u32::MAX drifted");
 
-        let wrapped = sim.run_prefix(&mut worn, p("10.0.0.0/16"), &[&ep], 1);
+        let wrapped = sim.run_prefix(&mut worn, p("10.0.0.0/16"), &[&ep]);
         assert_eq!(worn.epoch, 1, "the wrap restarts the stamp counter");
         assert_eq!(wrapped, reference, "outcome across the wrap drifted");
         assert!(
@@ -2072,16 +1812,19 @@ mod tests {
         let attack =
             Origination::announce(Asn::new(4), prefix, vec![Community::new(3, 666)]).at(600);
         let combined = vec![baseline[0].clone(), attack.clone()];
-        assert_eq!(sim.run_delta(&snap, &[attack]), sim.run(&combined));
+        assert_eq!(
+            sim.run_delta_on(&base, &snap, &[attack]),
+            sim.run(&combined)
+        );
 
         // Withdrawal perturbation (on the same snapshot: baselines are
         // immutable, every candidate reuses one capture).
         let wd = Origination::withdrawal(Asn::new(4), prefix, 700);
         let combined = vec![baseline[0].clone(), wd.clone()];
-        assert_eq!(sim.run_delta(&snap, &[wd]), sim.run(&combined));
+        assert_eq!(sim.run_delta_on(&base, &snap, &[wd]), sim.run(&combined));
 
         // The empty delta reproduces the baseline result exactly.
-        assert_eq!(sim.run_delta(&snap, &[]), base);
+        assert_eq!(sim.run_delta_on(&base, &snap, &[]), base);
     }
 
     #[test]
@@ -2114,7 +1857,7 @@ mod tests {
         let prefix = p("10.0.0.0/16");
         let baseline = vec![Origination::announce(Asn::new(4), prefix, vec![]).at(300)];
         let (_, snap) = sim.run_snapshot(&baseline, prefix);
-        sim.run_delta(&snap, &[Origination::withdrawal(Asn::new(4), prefix, 100)]);
+        sim.run_delta_prefix(&snap, &[Origination::withdrawal(Asn::new(4), prefix, 100)]);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! (a chunk index, a stable prefix hash). Plans are attached explicitly via
 //! [`crate::SimSpec::faults`] / [`crate::Campaign::faults`] — never read
 //! from the environment — and every site is a `None` check when no plan is
-//! attached. The crash-resume suite (`tests/faults.rs`) iterates
+//! attached. The campaign sites (`campaign::*`) fire under
+//! [`crate::CompiledSim::run`] too, since `run` is a campaign over the
+//! session. The crash-resume suite (`tests/faults.rs`) iterates
 //! [`fault_site::ALL`] and proves that a simulated crash at each site,
 //! followed by a restore from the durably persisted checkpoint, reproduces
 //! the uninterrupted run byte for byte.

@@ -86,8 +86,9 @@
 //! schedule and captures one prefix's converged worker state as a
 //! [`SimSnapshot`] (flat slot arrays, per-node scalars, touched list, and
 //! [`RouteArena`] — memcpy-class, restricted to the flood's footprint),
-//! and [`CompiledSim::run_delta`] restores it into a fresh scratch and
-//! converges only the appended episodes: the perturbed origination's
+//! and [`CompiledSim::run_delta_on`] restores it into a fresh scratch,
+//! converges only the appended episodes and patches them into the
+//! baseline result: the perturbed origination's
 //! export diff seeds the event queue, and the ordinary dirty-set machinery
 //! propagates the frontier. An attack episode costs O(blast radius), not
 //! O(Internet) — and the result is **bit-identical** to re-running the
@@ -129,7 +130,7 @@
 //! // the delta is converged, against the restored baseline RIBs.
 //! let attack =
 //!     Origination::announce(Asn::new(3), victim, vec![Community::new(2, 666)]).at(600);
-//! let attacked = sim.run_delta(&snapshot, std::slice::from_ref(&attack));
+//! let attacked = sim.run_delta_on(&base, &snapshot, std::slice::from_ref(&attack));
 //! assert!(attacked.route_at(Asn::new(2), &victim).unwrap().blackholed);
 //!
 //! // Diffing the outcomes is the A/B comparison — and the delta result is
@@ -138,10 +139,9 @@
 //! assert_eq!(attacked, sim.run(&combined));
 //! ```
 //!
-//! For a snapshot captured inside a *multi-prefix* run (a full-table
-//! baseline, say), [`CompiledSim::run_delta_on`] patches the baseline
-//! [`SimResult`] with the delta outcome — every untouched prefix's
-//! contribution is kept verbatim. The per-prefix building block,
+//! The baseline may hold any number of prefixes (a full-table baseline,
+//! say): [`CompiledSim::run_delta_on`] keeps every untouched prefix's
+//! contribution verbatim. The per-prefix building block,
 //! [`CompiledSim::run_delta_prefix`], returns the raw [`PrefixOutcome`]
 //! for streaming consumers (e.g. folding into a `CampaignSink` such as the
 //! dataplane's `Fib`).
@@ -161,7 +161,7 @@
 //! | `sim.irr.register(p, asn)`          | `.register_irr(p, asn)`               |
 //! | `sim.rpki = rpki.clone()`           | `.rpki(&rpki)` / `.register_rpki(…)`  |
 //! | `sim.retain = RetainRoutes::All`    | `.retain(RetainRoutes::All)`          |
-//! | `sim.threads = n`                   | `.threads(n)` (or [`CompiledSim::set_threads`]) |
+//! | `sim.threads = n`                   | `.threads(n)` (or [`CompiledSim::set_threads`]); prefix-level workers only, each flood runs serially |
 //! | `sim.run(&eps)` (re-resolves)       | `.compile()` once, then [`CompiledSim::run`] many times |
 //! |  —                                  | [`Workload::simulation`] returns a ready-wired `SimSpec` |
 //!
@@ -204,8 +204,8 @@
 //! [`RouteId`]s (u32) instead of owned `Route`s. Route equality — the
 //! export-diffing predicate — is a u32 compare, enqueuing an update
 //! allocates nothing, and an identical route is stored once per prefix no
-//! matter how many RIBs hold it. One arena per worker keeps the sharded
-//! path lock-free. Originations are interned once per episode (an
+//! matter how many RIBs hold it. One arena per worker keeps the
+//! prefix-sharded path lock-free. Originations are interned once per episode (an
 //! identical re-announcement reuses the previous episode's id without
 //! cloning its attribute vectors).
 //!
@@ -224,17 +224,16 @@
 //! per-import re-export reference loop in `tests/determinism.rs` locks in
 //! that batching never changes the converged routes.
 //!
-//! Distinct prefixes are independent, which the engine exploits for
-//! parallelism: prefixes are claimed dynamically from an atomic counter by
-//! scoped worker threads — each recycling its own scratch across every
-//! prefix it claims — publishing into that prefix's own `OnceLock` result
-//! slot (disjoint writes, no locks, balanced load).
-//! Results are merged in prefix order and observations sorted by
-//! `(time, peer, prefix)`, so `threads = 1` and `threads = N` produce
-//! identical results, and repeated `run` calls on one session are
-//! bit-identical — guarantees locked in by property tests over random
-//! topologies (`tests/determinism.rs`). A worker panic is caught per
-//! prefix and re-raised naming the failing prefix.
+//! Distinct prefixes are independent, which is where the parallelism
+//! lives: [`CompiledSim::run`] is a [`Campaign`] folding into a collecting
+//! sink, so scoped workers claim chunks of prefixes from an atomic counter
+//! — each recycling its own scratch across every prefix it claims — while
+//! every flood itself runs serially. Outcomes are concatenated in prefix
+//! order and observations sorted by `(time, peer, prefix)`, so
+//! `threads = 1` and `threads = N` produce identical results, and repeated
+//! `run` calls on one session are bit-identical — guarantees locked in by
+//! property tests over random topologies (`tests/determinism.rs`). A
+//! worker panic is re-raised naming its chunk.
 //!
 //! Route collectors observe sessions exactly like RIS/RouteViews peers and
 //! emit RFC 6396 MRT archives via `bgpworms-mrt`.
@@ -255,7 +254,7 @@
 //!   adjacent `// ordering: <why>` comment. The two patterns in this
 //!   crate: *claim tickets* (`fetch_add(1, Relaxed)` — only RMW
 //!   atomicity matters because results are published through per-slot
-//!   locks/`OnceLock`s and the `thread::scope` join) and the *advisory
+//!   locks and the `thread::scope` join) and the *advisory
 //!   abort latch* (an idempotent true-only flag where staleness only
 //!   costs wasted work, never wrong results).
 //! * **No wall clocks, no environment.** `Instant::now`/`SystemTime`
@@ -294,7 +293,6 @@ pub mod policy;
 pub mod route;
 pub mod router;
 mod scratch;
-mod sweep;
 pub mod workload;
 
 pub use bgpworms_failpoint::{FaultKind, FaultPayload, FaultPlan};

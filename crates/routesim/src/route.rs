@@ -194,8 +194,8 @@ impl RouteId {
 /// A per-run hash-consing arena: every distinct [`Route`] value is stored
 /// exactly once and addressed by a [`RouteId`].
 ///
-/// One arena lives per prefix-worker (prefixes never interact), so sharded
-/// runs stay lock-free and id assignment is a pure function of the prefix's
+/// One arena lives per prefix-worker (prefixes never interact), so
+/// prefix-sharded runs stay lock-free and id assignment is a pure function of the prefix's
 /// event sequence. Collision handling is an explicit bucket list — the map
 /// stores `hash → candidate ids` and full [`Route`] equality resolves the
 /// bucket, so the route bytes are never stored twice. The first id of a

@@ -594,9 +594,7 @@ pub(crate) fn admit_route(
 /// Best candidate of a RIB slice plus the role it was learned under (None
 /// for local routes). Every comparison in [`Route::prefer`] bottoms out in
 /// a strict tie-break, so the winner is independent of iteration order.
-/// Crate-visible so the engine's sharded export sweep can scan a node's
-/// RIB slice without materializing a [`NodeState`] view.
-pub(crate) fn best_entry(
+fn best_entry(
     rib_in: &[Option<RibEntry>],
     local: Option<RouteId>,
     arena: &RouteArena,
@@ -657,12 +655,10 @@ pub(crate) fn export_from_best(
 }
 
 /// The compute half of [`export_from_best`]: produces the owned outgoing
-/// route **without interning it**, over a shared `&RouteArena`. This is
-/// what lets the sharded export sweep run the expensive policy work on
-/// worker threads against an immutable arena, deferring the (id-minting,
-/// order-sensitive) intern to the serial merge.
+/// route **without interning it**, over a shared `&RouteArena`, so the
+/// borrows of the best route end before the caller interns the result.
 #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
-pub(crate) fn export_route_from_best(
+fn export_route_from_best(
     asn: Asn,
     is_route_server: bool,
     best_id: RouteId,

@@ -253,7 +253,8 @@ impl SimScratch {
 }
 
 /// A converged single-prefix baseline, captured from a worker's scratch by
-/// `CompiledSim::run_snapshot` and re-animated by `CompiledSim::run_delta`.
+/// `CompiledSim::run_snapshot` and re-animated by
+/// `CompiledSim::run_delta_prefix`.
 ///
 /// The snapshot is memcpy-class thanks to the flat scratch layout: the
 /// touched nodes' Adj-RIB-In and last-exported slot ranges are concatenated

@@ -27,7 +27,7 @@
 //!   never leak into a later prefix.
 //! * **Delta-re-convergence transparency** — restoring a converged
 //!   [`bgpworms_routesim::SimSnapshot`] and converging only appended
-//!   perturbation episodes (`run_delta` / `run_delta_on`) must be
+//!   perturbation episodes (`run_delta_prefix` / `run_delta_on`) must be
 //!   bit-identical to rerunning the combined schedule from scratch, on
 //!   arbitrary worlds, across `threads = 1/N` on both the capturing and
 //!   the fresh side, for withdrawals and community-changing perturbations
@@ -804,10 +804,10 @@ proptest! {
     /// baseline on an arbitrary world, append arbitrary perturbations
     /// (community-changing announcements and withdrawals), and the
     /// delta-patched result must be bit-identical to rerunning the combined
-    /// schedule from scratch — for the single-prefix `run_delta` fold, the
-    /// multi-prefix `run_delta_on` patch, and across `threads = 1/N` on
-    /// the capturing side (parallel and sequential captures must also be
-    /// identical snapshots).
+    /// schedule from scratch — for a single-prefix and a multi-prefix
+    /// baseline, and across `threads = 1/N` on the capturing side (the
+    /// campaign-driven `run_snapshot` must capture identical snapshots and
+    /// baselines at any thread count).
     #[test]
     fn delta_reconvergence_equals_fresh_run(
         raw in arb_world(),
@@ -859,127 +859,29 @@ proptest! {
             "delta patch diverged from the fresh combined run"
         );
 
-        // Single-prefix: run_delta folds the outcome itself.
+        // Single-prefix baseline: the patch covers the whole result.
         let target_eps: Vec<Origination> = originations
             .iter()
             .filter(|o| o.prefix == target)
             .cloned()
             .collect();
-        let (_, solo_snap) = sim.run_snapshot(&target_eps, target);
+        let (solo_base, solo_snap) = sim.run_snapshot(&target_eps, target);
         let mut solo_combined = target_eps.clone();
         solo_combined.extend(delta.iter().cloned());
         prop_assert_eq!(
-            &sim.run_delta(&solo_snap, &delta),
+            &sim.run_delta_on(&solo_base, &solo_snap, &delta),
             &sim.run(&solo_combined),
-            "single-prefix run_delta diverged"
+            "single-prefix delta patch diverged"
         );
 
-        // Sharded capture: the parallel snapshot is the sequential one,
-        // and the patched result still matches.
+        // Campaign-driven capture at threads = N: the rest of the schedule
+        // runs on the campaign's prefix workers, and the baseline, the
+        // snapshot and the patched result are the sequential ones.
         sim.set_threads(threads);
         let (par_base, par_snap) = sim.run_snapshot(&originations, target);
-        prop_assert_eq!(&par_base, &base, "sharded baseline diverged");
-        prop_assert_eq!(&par_snap, &snap, "sharded capture diverged");
+        prop_assert_eq!(&par_base, &base, "baseline diverged at threads = N");
+        prop_assert_eq!(&par_snap, &snap, "capture diverged at threads = N");
         prop_assert_eq!(&sim.run_delta_on(&par_base, &par_snap, &delta), &fresh);
-    }
-
-    /// Intra-flood sharding: a *single*-prefix schedule spends its worker
-    /// budget inside the flood (range-sharded export sweeps merged in
-    /// ascending node order), and the result — including the captured
-    /// snapshot, whose arena pins id-mint order itself — must be
-    /// bit-identical to the fully sequential run. The sharding floor is
-    /// forced to 1 so even tiny proptest worlds shard every round.
-    #[test]
-    fn intra_flood_sharding_never_changes_single_prefix_results(
-        raw in arb_world(),
-        threads in 2usize..6,
-    ) {
-        let (topo, configs, collectors, originations) = build_world(&raw);
-        let target = originations[0].prefix;
-        let solo: Vec<Origination> = originations
-            .iter()
-            .filter(|o| o.prefix == target)
-            .cloned()
-            .collect();
-        let mut sim = spec_for(&topo, configs, collectors).compile();
-
-        let (seq, seq_snap) = sim.run_snapshot(&solo, target);
-        sim.set_threads(threads);
-        sim.set_intra_floor(1);
-        let (mt, mt_snap) = sim.run_snapshot(&solo, target);
-        prop_assert_eq!(&seq, &mt, "intra-flood sharded run diverged");
-        prop_assert_eq!(
-            &seq_snap,
-            &mt_snap,
-            "sharded capture (arena id-mint order) diverged"
-        );
-    }
-
-    /// Intra-flood sharding on the snapshot/delta path: `run_delta_prefix`
-    /// under sharded sweeps ≡ the serial delta replay ≡ the fresh combined
-    /// run, whether the snapshot itself was captured serially or under
-    /// sharding — the restored-arena interning contract survives the
-    /// sharded merge.
-    #[test]
-    fn intra_flood_sharding_matches_serial_on_delta_path(
-        raw in arb_world(),
-        threads in 2usize..6,
-        perturbations in proptest::collection::vec(
-            (0usize..16, 0u16..1000, any::<bool>()),
-            1..4,
-        ),
-    ) {
-        let (topo, configs, collectors, originations) = build_world(&raw);
-        let target = originations[0].prefix;
-        let solo: Vec<Origination> = originations
-            .iter()
-            .filter(|o| o.prefix == target)
-            .cloned()
-            .collect();
-        let last_time = solo.iter().map(|o| o.time).max().expect("non-empty");
-        let delta: Vec<Origination> = perturbations
-            .iter()
-            .enumerate()
-            .map(|(k, &(origin, community, withdraw))| {
-                let origin = Asn::new((origin % raw.n_nodes) as u32 + 1);
-                let time = last_time + 100 * (k as u32 + 1);
-                if withdraw {
-                    Origination::withdrawal(origin, target, time)
-                } else {
-                    Origination::announce(
-                        origin,
-                        target,
-                        vec![Community::new(community % 16, community)],
-                    )
-                    .at(time)
-                }
-            })
-            .collect();
-        let mut combined = solo.clone();
-        combined.extend(delta.iter().cloned());
-
-        let mut sim = spec_for(&topo, configs, collectors).compile();
-        let fresh = sim.run(&combined);
-        let (_, snap) = sim.run_snapshot(&solo, target);
-        let serial_delta = sim.run_delta_prefix(&snap, &delta);
-
-        sim.set_threads(threads);
-        sim.set_intra_floor(1);
-        let sharded_delta = sim.run_delta_prefix(&snap, &delta);
-        prop_assert_eq!(&serial_delta, &sharded_delta, "sharded delta replay diverged");
-        prop_assert_eq!(
-            &sim.run_delta(&snap, &delta),
-            &fresh,
-            "sharded delta result diverged from the fresh combined run"
-        );
-
-        // A snapshot captured *under* sharding feeds the same replay.
-        let (_, mt_snap) = sim.run_snapshot(&solo, target);
-        prop_assert_eq!(
-            &sim.run_delta(&mt_snap, &delta),
-            &fresh,
-            "sharded capture + sharded replay diverged"
-        );
     }
 
     /// Memoization under prefix-sensitive policy: worlds seasoned with
@@ -1035,5 +937,87 @@ proptest! {
             );
             prop_assert_eq!(memoized.events, plain.events);
         }
+    }
+}
+
+/// `run_snapshot` converges its prefix outside the campaign memo, so the
+/// snapshot prefix may share its flood-equivalence class with prefixes the
+/// campaign replays. The captured baseline must still be the class's
+/// outcome relabeled, and delta patching must still equal a fresh combined
+/// run, at threads 1 and 2.
+#[test]
+fn snapshot_of_a_memoized_class_member_matches_fresh_runs() {
+    let topo = TopologyParams::tiny().seed(9).build();
+    let origin = topo
+        .ases()
+        .find(|n| n.tier == Tier::Stub)
+        .expect("a tiny world has stubs")
+        .asn;
+    // Four /24s announced identically by one origin (one class), plus an
+    // unrelated prefix from another AS.
+    let siblings: Vec<Prefix> = (0..4)
+        .map(|k| format!("10.9.{k}.0/24").parse().unwrap())
+        .collect();
+    let target = siblings[1];
+    let mut schedule: Vec<Origination> = siblings
+        .iter()
+        .map(|&p| Origination::announce(origin, p, vec![Community::new(7, 7)]))
+        .collect();
+    let other = topo
+        .ases()
+        .find(|n| n.asn != origin)
+        .expect("more than one AS")
+        .asn;
+    schedule.push(Origination::announce(
+        other,
+        "10.10.0.0/16".parse().unwrap(),
+        vec![],
+    ));
+    let delta = vec![
+        Origination::announce(origin, target, vec![Community::new(7, 8)]).at(500),
+        Origination::withdrawal(origin, target, 900),
+    ];
+    let mut combined = schedule.clone();
+    combined.extend(delta.iter().cloned());
+
+    let collectors = vec![CollectorSpec {
+        name: "rrc00".into(),
+        platform: "RIS".into(),
+        collector_id: 1,
+        peers: topo
+            .ases()
+            .filter(|n| n.tier == Tier::Tier1)
+            .map(|n| (n.asn, FeedKind::Full))
+            .collect(),
+    }];
+    let mut sim = spec_for(&topo, Vec::new(), collectors).compile();
+    assert_eq!(
+        Campaign::new(&sim).class_stats(&schedule).classes,
+        2,
+        "the siblings must share one class"
+    );
+
+    for threads in [1, 2] {
+        sim.set_threads(threads);
+        let (base, snap) = sim.run_snapshot(&schedule, target);
+        assert!(
+            !snap.baseline_outcome().observations[0].is_empty(),
+            "the class flood must reach the collector"
+        );
+        assert_eq!(base, sim.run(&schedule), "threads = {threads}");
+        let outcomes = Campaign::new(&sim)
+            .run(&schedule, KeyedSink::default)
+            .sink
+            .0;
+        assert_eq!(
+            snap.baseline_outcome(),
+            &outcomes[&siblings[0]].clone().relabeled(target),
+            "captured baseline is not the class outcome (threads = {threads})"
+        );
+        assert_eq!(
+            sim.run_delta_on(&base, &snap, &delta),
+            sim.run(&combined),
+            "delta patch diverged from the fresh combined run (threads = {threads})"
+        );
     }
 }

@@ -17,7 +17,10 @@
 //! * **budget starvation** degrades gracefully into a structured
 //!   `diverged` tally, identical with memoization on or off;
 //! * injected crashes are **never** retried in-process — only the durable
-//!   checkpoint layer survives them.
+//!   checkpoint layer survives them;
+//! * restoring a checkpoint is **total**: truncated, bit-flipped or
+//!   byte-spliced checkpoint text either fails with `Err` or restores a
+//!   checkpoint that re-serializes to exactly that text.
 
 use bgpworms_failpoint::{crash_payload, FaultKind, FaultPlan};
 use bgpworms_routesim::{
@@ -26,8 +29,10 @@ use bgpworms_routesim::{
 };
 use bgpworms_topology::{PrefixAllocation, Topology, TopologyParams};
 use bgpworms_types::Prefix;
+use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 /// The fault sites a campaign advance visits; crash-resume is driven
 /// through the durable checkpoint loop for each of these.
@@ -523,4 +528,92 @@ fn injected_crashes_are_never_retried_in_process() {
     let run = campaign.run(&eps, Ledger::default);
     assert!(!run.degraded());
     assert_eq!(run.failures, vec![]);
+}
+
+/// A real mid-campaign checkpoint text: two chunks in, with a quarantined
+/// prefix (panic text to escape) and a starved one (a diverged entry).
+fn real_checkpoint_json() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let (topo, eps) = world();
+        let prefixes = schedule_prefixes(&eps);
+        let plan = FaultPlan::new()
+            .fail(
+                fault_site::PREFIX,
+                prefix_fault_key(prefixes[0]),
+                FaultKind::Panic,
+                u32::MAX,
+            )
+            .fail(
+                fault_site::ENGINE_FLOOD,
+                prefix_fault_key(prefixes[1]),
+                FaultKind::Starve,
+                1,
+            );
+        let sim = SimSpec::new(&topo)
+            .retain(RetainRoutes::All)
+            .faults(&plan)
+            .compile();
+        let campaign = Campaign::new(&sim)
+            .chunk_size(2)
+            .fault_policy(FaultPolicy::Quarantine { attempts: 2 });
+        let (cp, finished) =
+            campaign.run_chunks(&eps, campaign.begin(Ledger::default()), Ledger::default, 2);
+        assert!(!finished, "the sample must stop mid-campaign");
+        assert!(!cp.failures().is_empty() && !cp.diverged().is_empty());
+        cp.to_json()
+    })
+}
+
+/// The totality contract of [`CampaignCheckpoint::from_json`] on one
+/// mutated input: `Err`, or a checkpoint that writes back the same bytes.
+fn restore_is_exact_or_rejected(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let text = String::from_utf8_lossy(bytes);
+    if let Ok(cp) = CampaignCheckpoint::<Ledger>::from_json(&text) {
+        prop_assert_eq!(cp.to_json(), text.into_owned(), "restore is not exact");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_capped(256))]
+
+    #[test]
+    fn truncated_checkpoints_restore_exactly_or_not_at_all(cut in any::<usize>()) {
+        let text = real_checkpoint_json().as_bytes();
+        restore_is_exact_or_rejected(&text[..cut % (text.len() + 1)])?;
+    }
+
+    #[test]
+    fn bit_flipped_checkpoints_restore_exactly_or_not_at_all(
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+    ) {
+        let mut bytes = real_checkpoint_json().as_bytes().to_vec();
+        for (at, bit) in flips {
+            let i = at % bytes.len();
+            bytes[i] ^= 1 << bit;
+        }
+        restore_is_exact_or_rejected(&bytes)?;
+    }
+
+    #[test]
+    fn spliced_checkpoints_restore_exactly_or_not_at_all(
+        at in any::<usize>(),
+        drop in 0usize..4,
+        junk in proptest::collection::vec(any::<u8>(), 0..8),
+    ) {
+        let text = real_checkpoint_json().as_bytes();
+        let i = at % (text.len() + 1);
+        let mut bytes = text[..i].to_vec();
+        bytes.extend_from_slice(&junk);
+        bytes.extend_from_slice(&text[(i + drop).min(text.len())..]);
+        restore_is_exact_or_rejected(&bytes)?;
+    }
+
+    #[test]
+    fn random_bytes_restore_exactly_or_not_at_all(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        restore_is_exact_or_rejected(&bytes)?;
+    }
 }
