@@ -268,7 +268,6 @@ fn bench_engine(c: &mut Criterion) {
                     // per-prefix-marginal input), not the replay path.
                     let run = Campaign::new(&internet_sim)
                         .memoize(false)
-                        .chunk_size(1)
                         .run(schedule, || EventCount(0));
                     assert!(run.converged);
                     run.sink.0

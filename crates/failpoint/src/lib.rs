@@ -2,9 +2,10 @@
 //!
 //! A [`FaultPlan`] is an explicit, value-passed description of which named
 //! *fault sites* should misbehave, how, and how many times. Plans are wired
-//! through the builder APIs (`SimSpec::faults`, `Campaign::faults`) — never
-//! through environment variables — so detlint's no-env-dependence rule stays
-//! clean and a run's behavior is a pure function of its inputs.
+//! through the session builder (`SimSpec::faults`; campaigns inherit the
+//! session's plan) — never through environment variables — so detlint's
+//! no-env-dependence rule stays clean and a run's behavior is a pure
+//! function of its inputs.
 //!
 //! Design points:
 //!

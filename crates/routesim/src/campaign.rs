@@ -30,9 +30,9 @@
 //! A full routing table is mostly *duplicate floods*: two prefixes
 //! originated by the same AS, with the same origination attributes and no
 //! prefix-sensitive policy in their way, propagate identically up to the
-//! prefix label — and one full-Internet flood costs ~42 ms of pure
-//! propagation work. The driver therefore keys every prefix of the
-//! schedule by its **equivalence class** (`classify`): the
+//! prefix label — and one full-Internet flood costs 71–95 ms of pure
+//! propagation work on a 2-core box. The driver therefore keys every
+//! prefix of the schedule by its **equivalence class** (`classify`): the
 //! episode shapes (origin, time, attributes, withdraw/forge flags), a
 //! compiled prefix-length bucket, per-episode IRR/RPKI registration bits,
 //! the retention bit, and a singleton escape for prefixes named by
@@ -78,8 +78,10 @@
 //!
 //! A campaign can stop after any number of chunks and hand back a
 //! [`CampaignCheckpoint`] — the aggregate sink plus the count of completed
-//! chunks. [`Campaign::resume`] continues from the first incomplete chunk
-//! and produces a result bit-identical to an uninterrupted run (same
+//! chunks. Chunk boundaries derive from the schedule's prefix count alone,
+//! so there is no chunking knob to get wrong on resume.
+//! [`Campaign::resume`] continues from the first incomplete chunk and
+//! produces a result bit-identical to an uninterrupted run (same
 //! fold/merge sequence, just spread over several calls). That is the
 //! full-table safety net: a multi-hour campaign interrupted at chunk `k`
 //! re-runs only chunks `k..`, not the table. Checkpoints whose sink
@@ -149,7 +151,7 @@ use bgpworms_failpoint::FaultPlan;
 use bgpworms_types::Prefix;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A streaming fold over per-prefix outcomes.
@@ -172,15 +174,13 @@ pub trait CampaignSink: Sized {
 /// The campaign driver: a chunked, streaming view of one compiled session.
 ///
 /// Layered on [`CompiledSim`] — it replays the session's per-prefix engine
-/// (`threads` comes from the session too) and is what
+/// (`threads` and the fault plan come from the session too) and is what
 /// [`CompiledSim::run`] itself drives; only the sink differs.
 #[derive(Debug, Clone, Copy)]
 pub struct Campaign<'s, 't> {
     sim: &'s CompiledSim<'t>,
-    chunk_size: usize,
     memoize: bool,
     policy: FaultPolicy,
-    faults: Option<&'t FaultPlan>,
 }
 
 /// What the campaign does when simulating (or folding) one prefix panics.
@@ -219,10 +219,10 @@ pub struct PrefixFailure {
     pub message: String,
 }
 
-/// Default prefixes per work chunk: small enough that a checkpoint is never
+/// Most prefixes per work chunk: small enough that a checkpoint is never
 /// far away and chunk sinks stay cheap, large enough that per-chunk
 /// bookkeeping vanishes next to per-prefix convergence cost.
-pub const DEFAULT_CHUNK_SIZE: usize = 32;
+const DEFAULT_CHUNK_SIZE: usize = 32;
 
 /// Target minimum number of chunks a non-trivial schedule is split into
 /// (schedules with at least this many prefixes yield at least half of it
@@ -230,7 +230,20 @@ pub const DEFAULT_CHUNK_SIZE: usize = 32;
 /// small campaigns parallelizable, since chunks — not prefixes — are what
 /// workers claim. Comfortably above any realistic core count while keeping
 /// per-chunk overhead irrelevant.
-pub const MIN_SCHEDULABLE_CHUNKS: usize = 64;
+const MIN_SCHEDULABLE_CHUNKS: usize = 64;
+
+/// The chunk size for a schedule of `n_prefixes`: [`DEFAULT_CHUNK_SIZE`],
+/// shrunk so the schedule splits into at least [`MIN_SCHEDULABLE_CHUNKS`]
+/// chunks (without that, a 24-prefix campaign would be one serial chunk
+/// whatever the thread count). It depends on the prefix count alone, never
+/// on the thread count, which keeps chunk boundaries — and hence the
+/// sink's fold/merge sequence and the checkpoint grain — identical across
+/// `threads = 1/N`.
+fn effective_chunk_size(n_prefixes: usize) -> usize {
+    DEFAULT_CHUNK_SIZE
+        .min(n_prefixes.div_ceil(MIN_SCHEDULABLE_CHUNKS))
+        .max(1)
+}
 
 /// A resumable campaign position: the aggregate sink after some prefix of
 /// the chunk sequence, plus how many chunks it covers.
@@ -238,18 +251,16 @@ pub const MIN_SCHEDULABLE_CHUNKS: usize = 64;
 pub struct CampaignCheckpoint<S> {
     pub(crate) sink: S,
     pub(crate) chunks_done: usize,
-    pub(crate) chunk_size: usize,
-    /// Digest of the prefix list this checkpoint was taken against
-    /// (`None` until the first [`Campaign::run_chunks`] call touches a
-    /// schedule); chunk boundaries derive from the prefix set, so resuming
+    /// Digest of the prefix list and chunk size this checkpoint was taken
+    /// against (`None` until the first [`Campaign::run_chunks`] call
+    /// touches a schedule); chunk boundaries derive from both, so resuming
     /// against a drifted schedule — changed count *or* changed membership —
-    /// is rejected instead of silently mis-chunked. FNV-1a over the
-    /// prefixes' canonical text, so a digest persisted by
-    /// [`CampaignCheckpoint::to_json`] means the same thing in another
-    /// process.
+    /// or under different chunking constants is rejected instead of
+    /// silently mis-chunked. FNV-1a over the prefixes' canonical text, so a
+    /// digest persisted by [`CampaignCheckpoint::to_json`] means the same
+    /// thing in another process.
     pub(crate) schedule_digest: Option<u64>,
     pub(crate) events: u64,
-    pub(crate) converged: bool,
     pub(crate) class_sims: u64,
     pub(crate) class_hits: u64,
     /// Prefixes (ascending fold order) that exhausted their event budget.
@@ -275,9 +286,10 @@ impl<S> CampaignCheckpoint<S> {
         self.events
     }
 
-    /// True if every completed prefix converged within budget.
+    /// True if every completed prefix converged within budget (no
+    /// prefix [`diverged`](CampaignCheckpoint::diverged)).
     pub fn converged(&self) -> bool {
-        self.converged
+        self.diverged.is_empty()
     }
 
     /// Completed prefixes that were the first member of their equivalence
@@ -316,7 +328,8 @@ pub struct CampaignRun<S> {
     pub sink: S,
     /// Total update events across all prefixes.
     pub events: u64,
-    /// True if every prefix converged within its event budget.
+    /// True if every prefix converged within its event budget; always
+    /// `diverged.is_empty()`.
     pub converged: bool,
     /// Work chunks processed (including any from a resumed checkpoint).
     pub chunks: usize,
@@ -409,7 +422,6 @@ impl ClassStats {
 struct ChunkOutcome<S> {
     sink: S,
     events: u64,
-    converged: bool,
     class_sims: u64,
     class_hits: u64,
     diverged: Vec<Prefix>,
@@ -496,20 +508,21 @@ impl ClassMemo {
     }
 }
 
-/// A parallel worker's publication slot: written once by the claiming
-/// worker (result or captured panic text), read once by the in-order merge.
-type ChunkSlot<S> = Mutex<Option<Result<ChunkOutcome<S>, String>>>;
+/// A chunk's publication slot: written once by the claiming worker (the
+/// result, or the caught panic payload), taken once by the in-order merge.
+type ChunkSlot<S> = Mutex<Option<std::thread::Result<ChunkOutcome<S>>>>;
 
 impl<'s, 't> Campaign<'s, 't> {
-    /// A campaign over `sim` with the [`DEFAULT_CHUNK_SIZE`] and flood
-    /// memoization enabled.
+    /// A campaign over `sim` with flood memoization enabled. The fault
+    /// plan consulted at the campaign's fault sites (chunk claim,
+    /// per-prefix, fold, merge, checkpoint save — see
+    /// [`crate::fault_site`]) is the one attached via
+    /// [`crate::SimSpec::faults`], if any.
     pub fn new(sim: &'s CompiledSim<'t>) -> Self {
         Campaign {
             sim,
-            chunk_size: DEFAULT_CHUNK_SIZE,
             memoize: true,
             policy: FaultPolicy::Abort,
-            faults: sim.faults(),
         }
     }
 
@@ -518,16 +531,6 @@ impl<'s, 't> Campaign<'s, 't> {
     /// path). See the module docs' supervision section.
     pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Attaches a deterministic fault plan consulted at the campaign's
-    /// fault sites (chunk claim, per-prefix, fold, merge, checkpoint save —
-    /// see [`crate::fault_site`]). Defaults to the plan attached to the
-    /// session via [`crate::SimSpec::faults`], if any; never read from the
-    /// environment.
-    pub fn faults(mut self, plan: &'t FaultPlan) -> Self {
-        self.faults = Some(plan);
         self
     }
 
@@ -554,42 +557,14 @@ impl<'s, 't> Campaign<'s, 't> {
         }
     }
 
-    /// Sets the prefixes-per-chunk **upper bound** (minimum 1). Small
-    /// schedules get proportionally smaller chunks — see
-    /// [`Campaign::effective_chunk_size`] — so a handful of prefixes still
-    /// spreads across every worker. Checkpoints are only portable between
-    /// campaigns with the same configured chunk size.
-    pub fn chunk_size(mut self, n: usize) -> Self {
-        self.chunk_size = n.max(1);
-        self
-    }
-
-    /// The chunk size actually used for a schedule of `n_prefixes`: the
-    /// configured bound, shrunk so the schedule splits into at least
-    /// [`MIN_SCHEDULABLE_CHUNKS`] chunks. Chunks are the parallel work
-    /// unit, so without this a 24-prefix campaign under the default bound
-    /// of 32 would be one chunk — i.e. fully serial no matter how many
-    /// worker threads the session has. The formula depends only on the
-    /// configured bound and the prefix count, never on the thread count,
-    /// which is what keeps chunk boundaries (and hence the sink's
-    /// fold/merge sequence and checkpoint grain) identical across
-    /// `threads = 1/N`.
-    pub fn effective_chunk_size(&self, n_prefixes: usize) -> usize {
-        self.chunk_size
-            .min(n_prefixes.div_ceil(MIN_SCHEDULABLE_CHUNKS))
-            .max(1)
-    }
-
     /// An empty checkpoint wrapping the campaign's aggregate sink; feed it
     /// to [`Campaign::run_chunks`] to execute incrementally.
     pub fn begin<S: CampaignSink>(&self, sink: S) -> CampaignCheckpoint<S> {
         CampaignCheckpoint {
             sink,
             chunks_done: 0,
-            chunk_size: self.chunk_size,
             schedule_digest: None,
             events: 0,
-            converged: true,
             class_sims: 0,
             class_hits: 0,
             diverged: Vec::new(),
@@ -642,11 +617,17 @@ impl<'s, 't> Campaign<'s, 't> {
         self.advance(originations, checkpoint, &new_sink, Some(max_chunks))
     }
 
-    /// The core loop: shards the not-yet-done chunk range over the
-    /// session's worker threads (workers claim chunks from an atomic
-    /// counter and publish into per-chunk `Mutex<Option<…>>` slots, so
-    /// sinks only need `Send`), then merges finished chunk sinks into the
-    /// aggregate in chunk order. Every flood runs serially on its worker.
+    /// The core loop, one for every thread count. The calling thread and
+    /// `threads − 1` scoped helpers claim chunks from an atomic counter and
+    /// publish each result — or the caught panic payload — into that
+    /// chunk's slot (`Mutex<Option<…>>`, so sinks only need `Send`). The
+    /// calling thread merges chunk `k` into the aggregate as soon as chunks
+    /// `0..=k` are all in: after each chunk of its own, after its claim
+    /// loop ends, and once more after the helpers join. At `threads = 1`
+    /// no helper is spawned, so every chunk runs, and is merged right
+    /// after, on the calling thread. The first failed chunk in chunk order
+    /// is re-raised with its original payload. Every flood runs serially
+    /// on its worker.
     fn advance<S, F>(
         &self,
         originations: &[Origination],
@@ -658,30 +639,23 @@ impl<'s, 't> Campaign<'s, 't> {
         S: CampaignSink + Send,
         F: Fn() -> S + Sync,
     {
-        assert_eq!(
-            cp.chunk_size, self.chunk_size,
-            "checkpoint was taken with chunk_size {} but the campaign resuming it uses \
-             chunk_size {} — chunk boundaries would not line up, silently skipping or \
-             re-folding prefixes; resume with the checkpoint's chunk size",
-            cp.chunk_size, self.chunk_size
-        );
         let by_prefix = group_by_prefix(originations);
         let prefixes: Vec<Prefix> = by_prefix.keys().copied().collect();
+        let chunk_size = effective_chunk_size(prefixes.len());
 
         // Chunk boundaries are recomputed from the prefix list, so a
-        // checkpoint is only meaningful against the schedule it was taken
-        // from: a drifted schedule — fewer, more, or simply *different*
-        // prefixes — would silently skip or re-fold work.
-        let digest = schedule_digest(&prefixes);
+        // checkpoint is only meaningful against the schedule and chunking
+        // it was taken under: a drifted schedule — fewer, more, or simply
+        // *different* prefixes — would silently skip or re-fold work.
+        let digest = schedule_digest(&prefixes, chunk_size);
         match cp.schedule_digest {
             Some(d) => assert_eq!(
                 d, digest,
-                "checkpoint was taken against a different schedule"
+                "checkpoint was taken against a different schedule or chunking"
             ),
             None => cp.schedule_digest = Some(digest),
         }
 
-        let chunk_size = self.effective_chunk_size(prefixes.len());
         let n_chunks = prefixes.len().div_ceil(chunk_size);
         let end = match max_chunks {
             Some(m) => n_chunks.min(cp.chunks_done.saturating_add(m)),
@@ -691,7 +665,8 @@ impl<'s, 't> Campaign<'s, 't> {
             let finished = cp.chunks_done >= n_chunks;
             return (cp, finished);
         }
-        let todo: Vec<usize> = (cp.chunks_done..end).collect();
+        let first = cp.chunks_done;
+        let n_todo = end - first;
 
         // The schedule's class structure — cheap (no simulation), computed
         // on both paths so the class-hit counters are schedule statistics:
@@ -700,118 +675,113 @@ impl<'s, 't> Campaign<'s, 't> {
         let memo = self.memoize.then(|| {
             ClassMemo::for_range(
                 &classes,
-                cp.chunks_done * chunk_size,
+                first * chunk_size,
                 (end * chunk_size).min(prefixes.len()),
             )
         });
         let memo = memo.as_ref();
+        let faults = self.sim.faults();
 
-        let threads = self.sim.threads().min(todo.len()).max(1);
-        if threads == 1 {
-            // One scratch for the whole advance: every prefix of every
-            // chunk recycles the same arrays.
+        let slots: Vec<ChunkSlot<S>> = (0..n_todo).map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        // Set on the first failure: workers stop claiming new chunks, so a
+        // sink blowing up in chunk 0 of a multi-hour full-table campaign
+        // doesn't let the fleet grind through every remaining chunk before
+        // the error surfaces.
+        let abort = AtomicBool::new(false);
+
+        // One worker: claims, runs and publishes chunks until none are left
+        // (or `abort` is set), on one scratch reused across every chunk it
+        // claims; `after_chunk` runs after each publish.
+        let work = |after_chunk: &mut dyn FnMut()| {
             let mut scratch = self.sim.new_scratch();
-            for &ci in &todo {
-                if let Some(plan) = self.faults {
-                    let _ = plan.trip(fault_site::CHUNK_CLAIM, ci as u64);
+            loop {
+                // ordering: advisory one-way latch — a stale read only
+                // costs one extra chunk of work; the merge never reads it
+                if abort.load(Ordering::Relaxed) {
+                    break;
                 }
-                let out = self.run_chunk(
-                    &mut scratch,
-                    ci,
-                    chunk_size,
-                    &prefixes,
-                    &by_prefix,
-                    &classes,
-                    memo,
-                    new_sink,
-                );
-                absorb(&mut cp, out, self.faults);
+                // ordering: pure claim ticket — only the RMW atomicity
+                // matters (each chunk is claimed once); results are
+                // published via the slot Mutexes and the scope join, not
+                // this counter
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                if k >= n_todo {
+                    break;
+                }
+                let ci = first + k;
+                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(plan) = faults {
+                        let _ = plan.trip(fault_site::CHUNK_CLAIM, ci as u64);
+                    }
+                    self.run_chunk(
+                        &mut scratch,
+                        ci,
+                        chunk_size,
+                        &prefixes,
+                        &by_prefix,
+                        &classes,
+                        memo,
+                        new_sink,
+                    )
+                }));
+                if outcome.is_err() {
+                    // ordering: idempotent true-only store; any visibility
+                    // delay just lets peers claim a few more chunks
+                    abort.store(true, Ordering::Relaxed);
+                }
+                // lint: infallible the lock is taken outside the
+                // catch_unwind above and the merge only takes the value
+                // out — no panic can poison it
+                let previous = slots[k]
+                    .lock()
+                    .expect("slot lock never poisoned")
+                    .replace(outcome);
+                debug_assert!(previous.is_none(), "chunk slot {k} claimed twice");
+                after_chunk();
             }
-        } else {
-            // Per-chunk result slots; `Mutex<Option<…>>` rather than
-            // `OnceLock` so sinks only need `Send`, never `Sync` (each
-            // slot is written once by its claiming worker, read once by
-            // the merge below — the lock is never contended).
-            let slots: Vec<ChunkSlot<S>> = (0..todo.len()).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            // Set on the first captured panic: workers stop claiming new
-            // chunks, so a sink blowing up in chunk 0 of a multi-hour
-            // full-table campaign doesn't let the fleet grind through
-            // every remaining chunk before the error surfaces.
-            let abort = std::sync::atomic::AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let (slots, next, abort, prefixes, by_prefix, todo, classes) = (
-                        &slots, &next, &abort, &prefixes, &by_prefix, &todo, &classes,
-                    );
-                    scope.spawn(move || {
-                        // One scratch per worker, reused across every chunk
-                        // it claims (a panic aborts the campaign, so a
-                        // poisoned scratch never contributes observed work).
-                        let mut scratch = self.sim.new_scratch();
-                        loop {
-                            // ordering: advisory one-way latch — a stale
-                            // read only costs one extra chunk of work; the
-                            // merge loop below never reads it
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // ordering: pure claim ticket — only the RMW
-                            // atomicity matters (each chunk is claimed
-                            // once); results are published via the slot
-                            // Mutexes and the scope join, not this counter
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&ci) = todo.get(k) else { break };
-                            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                if let Some(plan) = self.faults {
-                                    let _ = plan.trip(fault_site::CHUNK_CLAIM, ci as u64);
-                                }
-                                self.run_chunk(
-                                    &mut scratch,
-                                    ci,
-                                    chunk_size,
-                                    prefixes,
-                                    by_prefix,
-                                    classes,
-                                    memo,
-                                    new_sink,
-                                )
-                            }));
-                            if outcome.is_err() {
-                                // ordering: idempotent true-only store; any
-                                // visibility delay just lets peers claim a
-                                // few more chunks before stopping
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            // lint: infallible the lock is taken outside
-                            // the catch_unwind above — no panic can poison
-                            // it (the one long-held lock in run_chunk uses
-                            // PoisonError::into_inner instead)
-                            let previous = slots[k]
-                                .lock()
-                                .expect("slot lock never poisoned")
-                                .replace(outcome.map_err(|payload| panic_message(&payload)));
-                            debug_assert!(previous.is_none(), "chunk slot {k} claimed twice");
-                        }
-                    });
-                }
-            });
-            // Merge in chunk order — the slots vector *is* that order.
-            // Claims are handed out in ascending order and every claimed
-            // slot is written before its worker exits, so the written
-            // slots form a prefix of `todo`; a panicked (Err) slot is
-            // always reached before any unclaimed (None) one.
-            for (slot, &ci) in slots.into_iter().zip(&todo) {
-                // lint: infallible slot locks are only held outside
-                // catch_unwind, so no worker panic can poison them
-                match slot.into_inner().expect("slot lock never poisoned") {
-                    Some(Ok(out)) => absorb(&mut cp, out, self.faults),
-                    Some(Err(msg)) => panic!("campaign worker panicked in chunk {ci}: {msg}"),
-                    None => unreachable!("unclaimed slot implies an earlier panicked slot"),
+        };
+
+        // Merges every finished chunk at the front of the unmerged range.
+        // Claims are handed out in ascending order and every claimed slot
+        // is written before its worker exits, so a failed (Err) slot is
+        // always reached before any slot left unclaimed by the abort.
+        let mut merge_ready = || {
+            // lint: infallible slot locks are only held outside
+            // catch_unwind, so no worker panic can poison them
+            while let Some(result) = slots
+                .get(cp.chunks_done - first)
+                .and_then(|slot| slot.lock().expect("slot lock never poisoned").take())
+            {
+                match result {
+                    Ok(out) => absorb(&mut cp, out, faults),
+                    Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
-        }
-        (cp, end >= n_chunks)
+        };
+
+        let threads = self.sim.threads().min(n_todo).max(1);
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(|| work(&mut || {}));
+            }
+            // A panic on this thread — a merge, or a failed chunk
+            // re-raised — stops the helpers before the scope joins them.
+            let own = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                work(&mut merge_ready);
+                merge_ready();
+            }));
+            if let Err(payload) = own {
+                // ordering: same one-way latch as in the workers
+                abort.store(true, Ordering::Relaxed);
+                std::panic::resume_unwind(payload);
+            }
+        });
+        // Every helper has joined, so every claimed chunk is in.
+        merge_ready();
+        debug_assert_eq!(cp.chunks_done, end, "unclaimed chunk without a failure");
+        let finished = cp.chunks_done >= n_chunks;
+        (cp, finished)
     }
 
     /// Runs one chunk's prefixes (ascending order) into a fresh sink, on
@@ -845,7 +815,6 @@ impl<'s, 't> Campaign<'s, 't> {
         let mut out = ChunkOutcome {
             sink: new_sink(),
             events: 0,
-            converged: true,
             class_sims: 0,
             class_hits: 0,
             diverged: Vec::new(),
@@ -868,7 +837,7 @@ impl<'s, 't> Campaign<'s, 't> {
                     continue;
                 }
             };
-            if let Some(plan) = self.faults {
+            if let Some(plan) = self.sim.faults() {
                 // The fold site sits *outside* supervision: sink state
                 // cannot be rolled back, so a fold fault aborts (and is
                 // survivable only via durable-checkpoint restore).
@@ -878,7 +847,6 @@ impl<'s, 't> Campaign<'s, 't> {
                 out.diverged.push(prefix);
             }
             out.events += outcome.events;
-            out.converged &= outcome.converged;
             out.sink.fold(prefix, outcome);
         }
         out
@@ -957,7 +925,7 @@ impl<'s, 't> Campaign<'s, 't> {
         classes: &ClassTable,
         memo: Option<&ClassMemo>,
     ) -> PrefixOutcome {
-        if let Some(plan) = self.faults {
+        if let Some(plan) = self.sim.faults() {
             // Consulted once per *member* (before any memo lookup), so the
             // site fires identically with memoization on or off. Starve is
             // a no-op here — there is no budget at this site.
@@ -998,7 +966,7 @@ impl<'s, 't> Campaign<'s, 't> {
     /// persisted text still restores correctly. Restore with
     /// [`CampaignCheckpoint::from_json`].
     pub fn checkpoint_json<S: crate::DurableSink>(&self, cp: &CampaignCheckpoint<S>) -> String {
-        if let Some(plan) = self.faults {
+        if let Some(plan) = self.sim.faults() {
             let _ = plan.trip(fault_site::CHECKPOINT_SAVE, cp.chunks_done as u64);
         }
         cp.to_json()
@@ -1008,7 +976,8 @@ impl<'s, 't> Campaign<'s, 't> {
     /// fire for `prefix` (counters ignored) — such prefixes bypass the
     /// class memo; see [`Campaign::prefix_outcome`].
     fn engine_fault_targeted(&self, prefix: Prefix) -> bool {
-        self.faults
+        self.sim
+            .faults()
             .is_some_and(|plan| plan.targets(fault_site::ENGINE_FLOOD, prefix_fault_key(prefix)))
     }
 }
@@ -1029,12 +998,13 @@ fn group_by_prefix(originations: &[Origination]) -> BTreeMap<Prefix, Vec<&Origin
     by_prefix
 }
 
-/// Digest of a schedule's sorted prefix list, binding checkpoints to the
-/// exact prefix set (and order) their chunk boundaries were computed over.
-/// Checkpoints persist across processes ([`CampaignCheckpoint::to_json`]),
-/// so the digest is hand-rolled FNV-1a over the prefixes' canonical text —
-/// process- and platform-independent, unlike `DefaultHasher`.
-fn schedule_digest(prefixes: &[Prefix]) -> u64 {
+/// Digest of a schedule's sorted prefix list and its chunk size, binding
+/// checkpoints to the exact prefix set (and order) and chunking their chunk
+/// boundaries were computed from. Checkpoints persist across processes
+/// ([`CampaignCheckpoint::to_json`]), so the digest is hand-rolled FNV-1a
+/// over the prefixes' canonical text and the chunk size's little-endian
+/// bytes — process- and platform-independent, unlike `DefaultHasher`.
+fn schedule_digest(prefixes: &[Prefix], chunk_size: usize) -> u64 {
     use std::fmt::Write;
     let mut state: u64 = 0xcbf2_9ce4_8422_2325;
     let mut text = String::with_capacity(24);
@@ -1047,7 +1017,7 @@ fn schedule_digest(prefixes: &[Prefix]) -> u64 {
         // prefixes cannot alias across the boundary.
         state = fnv1a_extend(state, &[0xff]);
     }
-    state
+    fnv1a_extend(state, &(chunk_size as u64).to_le_bytes())
 }
 
 fn absorb<S: CampaignSink>(
@@ -1062,7 +1032,6 @@ fn absorb<S: CampaignSink>(
     }
     cp.sink.merge(out.sink);
     cp.events += out.events;
-    cp.converged &= out.converged;
     cp.class_sims += out.class_sims;
     cp.class_hits += out.class_hits;
     cp.diverged.extend(out.diverged);
@@ -1074,7 +1043,7 @@ fn finish<S>(cp: CampaignCheckpoint<S>) -> CampaignRun<S> {
     CampaignRun {
         sink: cp.sink,
         events: cp.events,
-        converged: cp.converged,
+        converged: cp.diverged.is_empty(),
         chunks: cp.chunks_done,
         class_sims: cp.class_sims,
         class_hits: cp.class_hits,
@@ -1134,7 +1103,7 @@ mod tests {
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
         let reference = sim.run(&eps);
-        let run = Campaign::new(&sim).chunk_size(3).run(&eps, Trace::default);
+        let run = Campaign::new(&sim).run(&eps, Trace::default);
         assert_eq!(run.events, reference.events);
         assert_eq!(run.converged, reference.converged);
         let ref_routes: usize = reference.final_routes.values().map(|m| m.len()).sum();
@@ -1145,23 +1114,23 @@ mod tests {
     #[test]
     fn small_schedules_still_split_into_many_chunks() {
         // Chunks are the parallel work unit, so a schedule smaller than
-        // the configured bound must shrink its chunks, not collapse into
-        // one serial chunk.
+        // the bound must shrink its chunks, not collapse into one serial
+        // chunk.
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo).compile();
-        let campaign = Campaign::new(&sim); // default bound: 32
-        assert_eq!(campaign.effective_chunk_size(24), 1);
-        assert_eq!(campaign.effective_chunk_size(1), 1);
-        assert_eq!(campaign.effective_chunk_size(0), 1);
-        assert_eq!(campaign.effective_chunk_size(640), 10);
-        assert_eq!(campaign.effective_chunk_size(64_000), 32);
+        let campaign = Campaign::new(&sim);
+        assert_eq!(effective_chunk_size(24), 1);
+        assert_eq!(effective_chunk_size(1), 1);
+        assert_eq!(effective_chunk_size(0), 1);
+        assert_eq!(effective_chunk_size(640), 10);
+        assert_eq!(effective_chunk_size(64_000), 32);
 
         let n_prefixes = eps
             .iter()
             .map(|o| o.prefix)
             .collect::<std::collections::BTreeSet<_>>()
             .len();
-        let effective = campaign.effective_chunk_size(n_prefixes);
+        let effective = effective_chunk_size(n_prefixes);
         assert!(
             effective < DEFAULT_CHUNK_SIZE,
             "world of {n_prefixes} prefixes must shrink its chunks"
@@ -1182,9 +1151,9 @@ mod tests {
     fn sink_call_sequence_is_thread_count_independent() {
         let (topo, eps) = world();
         let mut sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-        let seq = Campaign::new(&sim).chunk_size(2).run(&eps, Trace::default);
+        let seq = Campaign::new(&sim).run(&eps, Trace::default);
         sim.set_threads(4);
-        let par = Campaign::new(&sim).chunk_size(2).run(&eps, Trace::default);
+        let par = Campaign::new(&sim).run(&eps, Trace::default);
         assert_eq!(seq.sink, par.sink, "fold/merge sequence diverged");
         assert_eq!(seq.events, par.events);
     }
@@ -1193,7 +1162,7 @@ mod tests {
     fn checkpoint_resume_equals_uninterrupted() {
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-        let campaign = Campaign::new(&sim).chunk_size(2);
+        let campaign = Campaign::new(&sim);
         let full = campaign.run(&eps, Trace::default);
 
         // Stop-and-go: one chunk per call until done.
@@ -1223,7 +1192,7 @@ mod tests {
     fn resume_after_partial_run_completes() {
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-        let campaign = Campaign::new(&sim).chunk_size(2);
+        let campaign = Campaign::new(&sim);
         let full = campaign.run(&eps, Trace::default);
         let (cp, finished) =
             campaign.run_chunks(&eps, campaign.begin(Trace::default()), Trace::default, 2);
@@ -1250,43 +1219,24 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_rejects_mismatched_chunking_naming_both_sizes() {
-        // Chunk boundaries derive from the chunk size, so a checkpoint
-        // resumed under a different size would silently skip or re-fold
-        // prefixes. The guard must reject — and its message must name
-        // *both* sizes, so the operator of a multi-hour campaign knows
-        // which knob to fix without digging through two configs.
+    #[should_panic(expected = "different schedule or chunking")]
+    fn checkpoint_rejects_a_digest_from_other_chunking() {
+        // The chunk size is folded into the schedule digest, so a
+        // checkpoint written under different chunking constants — same
+        // prefixes, other boundaries — is refused on resume.
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo).compile();
-        let cp = Campaign::new(&sim).chunk_size(2).begin(Trace::default());
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Campaign::new(&sim)
-                .chunk_size(3)
-                .resume(&eps, cp, Trace::default)
-        }))
-        .expect_err("mismatched chunk size must be rejected");
-        let msg = panic_message(&*err);
-        assert!(
-            msg.contains("chunk_size 2") && msg.contains("chunk_size 3"),
-            "message must name the checkpoint's size and the campaign's size, got: {msg}"
-        );
-
-        // A partially-run checkpoint (digest already bound) is rejected the
-        // same way — the chunk-size guard fires before the digest check.
-        let campaign = Campaign::new(&sim).chunk_size(2);
-        let (cp, _) =
+        let campaign = Campaign::new(&sim);
+        let (mut cp, _) =
             campaign.run_chunks(&eps, campaign.begin(Trace::default()), Trace::default, 1);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Campaign::new(&sim)
-                .chunk_size(5)
-                .resume(&eps, cp, Trace::default)
-        }))
-        .expect_err("mismatched chunk size must be rejected after partial progress");
-        let msg = panic_message(&*err);
-        assert!(
-            msg.contains("chunk_size 2") && msg.contains("chunk_size 5"),
-            "got: {msg}"
+        let prefixes: Vec<Prefix> = group_by_prefix(&eps).into_keys().collect();
+        let chunk_size = effective_chunk_size(prefixes.len());
+        assert_eq!(
+            cp.schedule_digest,
+            Some(schedule_digest(&prefixes, chunk_size))
         );
+        cp.schedule_digest = Some(schedule_digest(&prefixes, chunk_size + 1));
+        let _ = campaign.resume(&eps, cp, Trace::default);
     }
 
     #[test]
@@ -1333,8 +1283,9 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_names_the_chunk() {
-        // A panicking fold inside a parallel chunk must surface, not hang.
+    fn sink_panic_surfaces_with_its_own_payload() {
+        // A panicking fold must surface, not hang — and with its own
+        // payload, whichever thread ran the chunk.
         #[derive(Debug)]
         struct Bomb;
         impl CampaignSink for Bomb {
@@ -1345,13 +1296,14 @@ mod tests {
         }
         let (topo, eps) = world();
         let mut sim = SimSpec::new(&topo).compile();
-        sim.set_threads(2);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Campaign::new(&sim).chunk_size(2).run(&eps, || Bomb)
-        }))
-        .expect_err("panic must propagate");
-        let msg = panic_message(&*err);
-        assert!(msg.contains("campaign worker panicked"), "got: {msg}");
+        for threads in [1, 2] {
+            sim.set_threads(threads);
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                Campaign::new(&sim).run(&eps, || Bomb)
+            }))
+            .expect_err("panic must propagate");
+            assert_eq!(panic_message(&*err), "sink exploded", "threads = {threads}");
+        }
     }
 
     #[test]
@@ -1384,7 +1336,7 @@ mod tests {
         let mut sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
         for threads in [1, 4] {
             sim.set_threads(threads);
-            let campaign = Campaign::new(&sim).chunk_size(3);
+            let campaign = Campaign::new(&sim);
             let memoized = campaign.run(&eps, Trace::default);
             let reference = campaign.memoize(false).run(&eps, Trace::default);
             assert_eq!(memoized.sink, reference.sink, "threads = {threads}");
@@ -1400,7 +1352,7 @@ mod tests {
         // or off (they describe the schedule, not the execution strategy).
         let (topo, eps) = world();
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-        let campaign = Campaign::new(&sim).chunk_size(3);
+        let campaign = Campaign::new(&sim);
         let stats = campaign.class_stats(&eps);
         let n_prefixes = eps
             .iter()
@@ -1471,7 +1423,7 @@ mod tests {
         ));
         let sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
         let reference = sim.run(&eps);
-        let run = Campaign::new(&sim).chunk_size(4).run(&eps, Trace::default);
+        let run = Campaign::new(&sim).run(&eps, Trace::default);
         assert_eq!(run.events, reference.events);
         let ref_routes: usize = reference.final_routes.values().map(|m| m.len()).sum();
         assert_eq!(run.sink.routes, ref_routes);

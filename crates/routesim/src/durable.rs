@@ -19,16 +19,18 @@
 //! rejected. Strictness is the point — a checkpoint is a correctness
 //! artifact, and a half-understood one must be rejected, not best-effort
 //! repaired. The decoder is total: no input panics it (fuzzed by
-//! `tests/faults.rs`). The format carries a version tag (`"v":1`) so a
-//! future shape change fails loud instead of misreading old files.
+//! `tests/faults.rs`). The format carries a version tag (`"v":2`) so a
+//! shape change fails loud instead of misreading old files. It stores
+//! nothing derivable: the chunk size follows from the schedule and
+//! `converged` from the `diverged` list.
 //!
 //! Restore validation is layered: `from_json` checks the version and the
 //! syntax; [`crate::Campaign::resume`] then re-checks the schedule digest
-//! and chunk size against the live campaign, exactly as it does for
-//! in-memory checkpoints. The crash-resume property suite
-//! (`tests/faults.rs`) drives the full loop — simulated crash at every
-//! registered fault site, restore from the persisted text, byte-identical
-//! final result.
+//! — which binds the prefix list and the chunk size — against the live
+//! campaign, exactly as it does for in-memory checkpoints. The
+//! crash-resume property suite (`tests/faults.rs`) drives the full loop —
+//! simulated crash at every registered fault site, restore from the
+//! persisted text, byte-identical final result.
 
 use crate::campaign::{CampaignCheckpoint, CampaignSink, PrefixFailure};
 use bgpworms_types::Prefix;
@@ -57,10 +59,8 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
     /// bytes (the crash-resume suite compares persisted texts directly).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
-        out.push_str("{\"v\":1,\"chunks_done\":");
+        out.push_str("{\"v\":2,\"chunks_done\":");
         out.push_str(&self.chunks_done.to_string());
-        out.push_str(",\"chunk_size\":");
-        out.push_str(&self.chunk_size.to_string());
         out.push_str(",\"schedule_digest\":");
         match self.schedule_digest {
             Some(d) => out.push_str(&d.to_string()),
@@ -68,8 +68,6 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
         }
         out.push_str(",\"events\":");
         out.push_str(&self.events.to_string());
-        out.push_str(",\"converged\":");
-        out.push_str(if self.converged { "true" } else { "false" });
         out.push_str(",\"class_sims\":");
         out.push_str(&self.class_sims.to_string());
         out.push_str(",\"class_hits\":");
@@ -102,37 +100,31 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
 
     /// Restores a checkpoint from [`CampaignCheckpoint::to_json`] text.
     ///
-    /// Rejects (with a diagnostic) any version other than 1, any field out
+    /// Rejects (with a diagnostic) any version other than 2, any field out
     /// of order or missing, any malformed value, and any text that
     /// [`CampaignCheckpoint::to_json`] would not write back byte for byte
     /// — a durable checkpoint is a correctness artifact, so a
     /// half-understood one must fail loud.
-    /// Schedule-digest and chunk-size consistency against the resuming
-    /// campaign are checked by [`crate::Campaign::resume`], same as for
-    /// in-memory checkpoints.
+    /// Schedule-digest consistency against the resuming campaign is
+    /// checked by [`crate::Campaign::resume`], same as for in-memory
+    /// checkpoints.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let mut p = Parser::new(text);
         p.token("{")?;
         p.key("v")?;
         let v = p.u64()?;
-        if v != 1 {
-            return Err(format!("unsupported checkpoint version {v} (expected 1)"));
+        if v != 2 {
+            return Err(format!("unsupported checkpoint version {v} (expected 2)"));
         }
         p.token(",")?;
         p.key("chunks_done")?;
         let chunks_done = p.usize()?;
-        p.token(",")?;
-        p.key("chunk_size")?;
-        let chunk_size = p.usize()?;
         p.token(",")?;
         p.key("schedule_digest")?;
         let schedule_digest = p.opt_u64()?;
         p.token(",")?;
         p.key("events")?;
         let events = p.u64()?;
-        p.token(",")?;
-        p.key("converged")?;
-        let converged = p.bool()?;
         p.token(",")?;
         p.key("class_sims")?;
         let class_sims = p.u64()?;
@@ -188,10 +180,8 @@ impl<S: DurableSink> CampaignCheckpoint<S> {
         let cp = CampaignCheckpoint {
             sink,
             chunks_done,
-            chunk_size,
             schedule_digest,
             events,
-            converged,
             class_sims,
             class_hits,
             diverged,
@@ -320,16 +310,6 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn bool(&mut self) -> Result<bool, String> {
-        if self.try_token("true") {
-            Ok(true)
-        } else if self.try_token("false") {
-            Ok(false)
-        } else {
-            Err(self.err("true or false"))
-        }
-    }
-
     /// A JSON string literal, unescaped.
     fn string(&mut self) -> Result<String, String> {
         self.token("\"")?;
@@ -437,10 +417,8 @@ mod tests {
                 note: "line \"one\"\n\ttab \\ done\u{1}".into(),
             },
             chunks_done: 7,
-            chunk_size: 3,
             schedule_digest: Some(0xdead_beef_0bad_cafe),
             events: 123_456,
-            converged: false,
             class_sims: 9,
             class_hits: 2,
             diverged: vec!["10.1.0.0/16".parse().unwrap()],
@@ -459,10 +437,9 @@ mod tests {
         let back = CampaignCheckpoint::<Tally>::from_json(&text).expect("restores");
         assert_eq!(back.sink, cp.sink);
         assert_eq!(back.chunks_done, cp.chunks_done);
-        assert_eq!(back.chunk_size, cp.chunk_size);
         assert_eq!(back.schedule_digest, cp.schedule_digest);
         assert_eq!(back.events, cp.events);
-        assert_eq!(back.converged, cp.converged);
+        assert!(!back.converged(), "a diverged prefix means not converged");
         assert_eq!((back.class_sims, back.class_hits), (9, 2));
         assert_eq!(back.diverged, cp.diverged);
         assert_eq!(back.failures, cp.failures);
@@ -476,10 +453,8 @@ mod tests {
         let cp = CampaignCheckpoint {
             sink: Tally::default(),
             chunks_done: 0,
-            chunk_size: 32,
             schedule_digest: None,
             events: 0,
-            converged: true,
             class_sims: 0,
             class_hits: 0,
             diverged: Vec::new(),
@@ -494,9 +469,22 @@ mod tests {
 
     #[test]
     fn unknown_version_is_rejected() {
-        let text = sample().to_json().replacen("\"v\":1", "\"v\":2", 1);
+        let text = sample().to_json().replacen("\"v\":2", "\"v\":3", 1);
         let err = CampaignCheckpoint::<Tally>::from_json(&text).expect_err("must reject");
-        assert!(err.contains("version 2"), "got: {err}");
+        assert!(err.contains("version 3"), "got: {err}");
+    }
+
+    #[test]
+    fn version_1_text_is_rejected() {
+        // The v1 shape, with its stored chunk size and converged flag.
+        let v1 = "{\"v\":1,\"chunks_done\":2,\"chunk_size\":1,\"schedule_digest\":7,\
+                  \"events\":10,\"converged\":true,\"class_sims\":2,\"class_hits\":0,\
+                  \"diverged\":[],\"failures\":[],\"sink\":\"0\\n\"}";
+        let err = CampaignCheckpoint::<Tally>::from_json(v1).expect_err("must reject");
+        assert!(
+            err.contains("unsupported checkpoint version 1"),
+            "got: {err}"
+        );
     }
 
     #[test]
@@ -536,7 +524,7 @@ mod tests {
 
     #[test]
     fn diagnostics_name_the_byte_position() {
-        let err = CampaignCheckpoint::<Tally>::from_json("{\"v\":1,\"chunks_done\":oops")
+        let err = CampaignCheckpoint::<Tally>::from_json("{\"v\":2,\"chunks_done\":oops")
             .expect_err("must reject");
         assert!(
             err.contains("at byte") && err.contains("a number"),

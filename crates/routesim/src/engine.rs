@@ -22,9 +22,13 @@
 //!
 //! # Flat adjacency-slot RIBs over a RouteId arena
 //!
-//! Per-neighbor router state ([`crate::router::PrefixRouter`]) is dense and
-//! **slot-indexed**: each node's Adj-RIB-In and last-exported cache are
-//! arrays addressed by the neighbor's position in the node's CSR slice.
+//! Per-neighbor router state is dense and **slot-indexed**: the engine
+//! works on `NodeState` views over its per-worker `SimScratch`, where each
+//! node's Adj-RIB-In and last-exported cache are sub-ranges of two flat
+//! arrays over the network's directed-edge slots, addressed by the
+//! neighbor's position in the node's CSR slice (the owned
+//! [`crate::router::PrefixRouter`] wraps the same views for tests and
+//! reference engines).
 //! Events carry the receiver-side slot (precompiled reverse-slot array), so
 //! the per-event hot path is pure `Vec` indexing end to end — no
 //! `BTreeMap<Asn, …>` anywhere on it. Those arrays hold [`RouteId`]s into a
@@ -75,8 +79,9 @@
 //! produce identical [`SimResult`]s — and repeated [`CompiledSim::run`]
 //! calls bit-identical (`run` never mutates the session). Scratch reuse and
 //! memoization are semantically invisible (`tests/determinism.rs` pins
-//! reuse ≡ fresh state per prefix and memoized ≡ unmemoized). A worker
-//! panic is re-raised naming its chunk.
+//! reuse ≡ fresh state per prefix and memoized ≡ unmemoized). A panic in
+//! any worker is re-raised on the calling thread with its original
+//! payload.
 
 use crate::campaign::{Campaign, CampaignSink};
 use crate::classify::{ClassKey, PrefixClassifier};

@@ -4,9 +4,9 @@
 //! A *fault site* is a stable string naming one supervised step of the
 //! pipeline; the key it is consulted with identifies the unit of work
 //! (a chunk index, a stable prefix hash). Plans are attached explicitly via
-//! [`crate::SimSpec::faults`] / [`crate::Campaign::faults`] — never read
-//! from the environment — and every site is a `None` check when no plan is
-//! attached. The campaign sites (`campaign::*`) fire under
+//! [`crate::SimSpec::faults`] — campaigns read the plan from their
+//! session, never from the environment — and every site is a `None` check
+//! when no plan is attached. The campaign sites (`campaign::*`) fire under
 //! [`crate::CompiledSim::run`] too, since `run` is a campaign over the
 //! session. The crash-resume suite (`tests/faults.rs`) iterates
 //! [`fault_site::ALL`] and proves that a simulated crash at each site,

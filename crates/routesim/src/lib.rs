@@ -57,13 +57,13 @@
 //! instead:
 //!
 //! ```text
-//! Campaign::new(&compiled)         // borrows the session; threads come from it
-//!     .chunk_size(32)              // bounded work chunks (also the checkpoint grain)
+//! Campaign::new(&compiled)         // borrows the session; threads and faults come from it
 //!     .run(&episodes, MySink::default)   // fold(prefix, outcome) per prefix …
 //!     .sink                        // … merge(chunk) per chunk → one aggregate
 //! ```
 //!
-//! The campaign shards the per-prefix loop into bounded chunks and
+//! The campaign shards the per-prefix loop into bounded chunks (at most 32
+//! prefixes, sized from the prefix count alone; also the checkpoint grain) and
 //! **streams** each [`PrefixOutcome`] into a caller-supplied
 //! [`CampaignSink`] — `fold(prefix, outcome)` in ascending prefix order
 //! within a chunk, `merge(chunk_sink)` in ascending chunk order — so a
@@ -226,14 +226,16 @@
 //!
 //! Distinct prefixes are independent, which is where the parallelism
 //! lives: [`CompiledSim::run`] is a [`Campaign`] folding into a collecting
-//! sink, so scoped workers claim chunks of prefixes from an atomic counter
-//! — each recycling its own scratch across every prefix it claims — while
-//! every flood itself runs serially. Outcomes are concatenated in prefix
+//! sink, so the calling thread and `threads − 1` scoped helpers claim
+//! chunks of prefixes from an atomic counter — each recycling its own
+//! scratch across every prefix it claims — while every flood itself runs
+//! serially. Outcomes are concatenated in prefix
 //! order and observations sorted by `(time, peer, prefix)`, so
 //! `threads = 1` and `threads = N` produce identical results, and repeated
 //! `run` calls on one session are bit-identical — guarantees locked in by
 //! property tests over random topologies (`tests/determinism.rs`). A
-//! worker panic is re-raised naming its chunk.
+//! panic in a chunk is re-raised on the calling thread with its original
+//! payload — the first failed chunk in chunk order, at any thread count.
 //!
 //! Route collectors observe sessions exactly like RIS/RouteViews peers and
 //! emit RFC 6396 MRT archives via `bgpworms-mrt`.

@@ -290,8 +290,8 @@ impl<'s> NodeState<'s> {
     }
 
     /// See [`PrefixRouter::import`]. Composes [`admit_route`] (the pure
-    /// policy decision, memoizable per (receiver, sender role, route id))
-    /// with [`NodeState::finalize_import`] (the RIB write).
+    /// policy decision, free of RIB borrows) with
+    /// [`NodeState::finalize_import`] (the RIB write).
     #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
     pub(crate) fn import(
         &mut self,
@@ -335,10 +335,10 @@ impl<'s> NodeState<'s> {
     }
 
     /// Applies an accepted admission: clones the incoming route out of the
-    /// arena (the import path's single clone), applies the memoized scalar
+    /// arena (the import path's single clone), applies the scalar
     /// [`AdmitEffects`], performs the sender-dependent ingress tagging that
-    /// cannot be memoized per route id alone, and installs the re-interned
-    /// result in the sender's Adj-RIB-In slot.
+    /// admission leaves out, and installs the re-interned result in the
+    /// sender's Adj-RIB-In slot.
     #[allow(clippy::too_many_arguments)] // hot path: flat args, no wrapper struct
     pub(crate) fn finalize_import(
         &mut self,
@@ -443,10 +443,10 @@ impl<'s> NodeState<'s> {
 }
 
 /// The outcome of the pure half of import: either a rejection verdict or
-/// the scalar effects to apply on acceptance. `Copy`, so the engine can
-/// memoize it per (receiver, sender role, incoming route id) — interned
-/// route content pins the sender, so that key determines the whole
-/// decision — without cloning anything on a memo hit.
+/// the scalar effects to apply on acceptance. Computed without touching
+/// the RIB, so policy evaluation holds no RIB borrow; the engine evaluates
+/// it afresh for every delivered route (a per-route-id memo of it was
+/// measured as a net loss — see `ARCHITECTURE.md`, layer 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Admission {
     /// Rejected; the RIB slot must be cleared.

@@ -606,43 +606,31 @@ proptest! {
         prop_assert_eq!(&attack_1, &attack_2, "attack run not reproducible");
     }
 
-    /// Campaign differential: the chunked streaming fold over `N` worker
-    /// threads must equal the collect-then-fold single-threaded reference
-    /// (one chunk, one thread, then a plain sequential fold of the
-    /// collected outcomes) — and rebuilding a [`SimResult`] from the
-    /// streamed aggregate must be bit-identical to [`CompiledSim::run`].
-    /// Streaming, chunking, and sharding are memory/throughput levers,
-    /// never semantic ones.
+    /// Campaign differential: the streaming fold over `N` worker threads
+    /// must equal the collect-then-fold single-threaded reference (one
+    /// thread, then a plain sequential fold of the collected outcomes) —
+    /// and rebuilding a [`SimResult`] from the streamed aggregate must be
+    /// bit-identical to [`CompiledSim::run`], whose merge logic lives in
+    /// the engine, not the campaign driver. Streaming and sharding are
+    /// memory/throughput levers, never semantic ones. (These worlds have
+    /// at most 6 prefixes, so every chunk holds one prefix;
+    /// `multi_prefix_chunks_keep_every_equivalence` covers wider chunks.)
     #[test]
-    fn campaign_streaming_equals_collect_then_fold(
-        raw in arb_world(),
-        threads in 2usize..6,
-        chunk in 1usize..5,
-    ) {
+    fn campaign_streaming_equals_collect_then_fold(raw in arb_world(), threads in 2usize..6) {
         let (topo, configs, collectors, originations) = build_world(&raw);
         let mut sim = spec_for(&topo, configs, collectors).compile();
 
         // Reference: collect every per-prefix outcome single-threaded,
-        // then fold the collection sequentially outside the driver. (On
-        // worlds this small the driver shrinks every schedule to
-        // per-prefix chunks regardless of the configured bound, so the two
-        // campaign runs differ in worker count, not chunk shape; the
-        // *independent* oracle is the `CompiledSim::run` cross-check at
-        // the end, whose merge logic lives in the engine, not the
-        // campaign driver.)
-        let collected = Campaign::new(&sim)
-            .chunk_size(usize::MAX)
-            .run(&originations, KeyedSink::default);
+        // then fold the collection sequentially outside the driver.
+        let collected = Campaign::new(&sim).run(&originations, KeyedSink::default);
         let mut reference = KeyedSink::default();
         for (prefix, outcome) in collected.sink.0 {
             reference.fold(prefix, outcome);
         }
 
-        // Streamed: bounded chunks, parallel workers.
+        // Streamed: parallel workers.
         sim.set_threads(threads);
-        let streamed = Campaign::new(&sim)
-            .chunk_size(chunk)
-            .run(&originations, KeyedSink::default);
+        let streamed = Campaign::new(&sim).run(&originations, KeyedSink::default);
         prop_assert_eq!(&streamed.sink, &reference, "streaming fold diverged");
         prop_assert_eq!(streamed.events, collected.events);
         prop_assert_eq!(streamed.converged, collected.converged);
@@ -671,9 +659,7 @@ proptest! {
         sim.set_threads(threads);
         prop_assert_eq!(&sim.run(&originations), &reference, "sharded scratch reuse leaked state");
 
-        let streamed = Campaign::new(&sim)
-            .chunk_size(2)
-            .run(&originations, KeyedSink::default);
+        let streamed = Campaign::new(&sim).run(&originations, KeyedSink::default);
         prop_assert_eq!(
             &rebuild_sim_result(&sim, &streamed.sink),
             &reference,
@@ -734,16 +720,13 @@ proptest! {
     fn campaign_checkpoint_resume_equals_uninterrupted(
         raw in arb_world(),
         threads in 2usize..6,
-        chunk in 1usize..4,
         stop_after in 1usize..5,
     ) {
         let (topo, configs, collectors, originations) = build_world(&raw);
         let mut sim = spec_for(&topo, configs, collectors).compile();
-        let full = Campaign::new(&sim)
-            .chunk_size(chunk)
-            .run(&originations, KeyedSink::default);
+        let full = Campaign::new(&sim).run(&originations, KeyedSink::default);
 
-        let campaign = Campaign::new(&sim).chunk_size(chunk);
+        let campaign = Campaign::new(&sim);
         let (cp, _finished) = campaign.run_chunks(
             &originations,
             campaign.begin(KeyedSink::default()),
@@ -753,9 +736,7 @@ proptest! {
         // Resume under a different thread count: the checkpoint must not
         // bake any scheduling state in.
         sim.set_threads(threads);
-        let resumed = Campaign::new(&sim)
-            .chunk_size(chunk)
-            .resume(&originations, cp, KeyedSink::default);
+        let resumed = Campaign::new(&sim).resume(&originations, cp, KeyedSink::default);
         prop_assert_eq!(&resumed.sink, &full.sink, "resume diverged");
         prop_assert_eq!(resumed.events, full.events);
         prop_assert_eq!(resumed.chunks, full.chunks);
@@ -769,19 +750,15 @@ proptest! {
 
     /// Flood memoization: replaying one class representative's outcome for
     /// every class member must be bit-identical to simulating each member
-    /// individually — on arbitrary worlds, across `threads = 1/N` and chunk
-    /// shapes, with identical class-hit counters on both paths.
+    /// individually — on arbitrary worlds, across `threads = 1/N`, with
+    /// identical class-hit counters on both paths.
     #[test]
-    fn memoization_never_changes_campaign_output(
-        raw in arb_world(),
-        threads in 2usize..6,
-        chunk in 1usize..5,
-    ) {
+    fn memoization_never_changes_campaign_output(raw in arb_world(), threads in 2usize..6) {
         let (topo, configs, collectors, originations) = build_world(&raw);
         let mut sim = spec_for(&topo, configs, collectors).compile();
         for t in [1, threads] {
             sim.set_threads(t);
-            let campaign = Campaign::new(&sim).chunk_size(chunk);
+            let campaign = Campaign::new(&sim);
             let memoized = campaign.run(&originations, KeyedSink::default);
             let plain = campaign.memoize(false).run(&originations, KeyedSink::default);
             prop_assert_eq!(&memoized.sink, &plain.sink, "memoized fold diverged, threads = {}", t);
@@ -928,7 +905,7 @@ proptest! {
         let mut sim = spec.compile();
         for t in [1, threads] {
             sim.set_threads(t);
-            let campaign = Campaign::new(&sim).chunk_size(2);
+            let campaign = Campaign::new(&sim);
             let memoized = campaign.run(&originations, KeyedSink::default);
             let plain = campaign.memoize(false).run(&originations, KeyedSink::default);
             prop_assert_eq!(
@@ -1020,4 +997,100 @@ fn snapshot_of_a_memoized_class_member_matches_fresh_runs() {
             "delta patch diverged from the fresh combined run (threads = {threads})"
         );
     }
+}
+
+/// Order-sensitive campaign sink: the exact fold/merge call sequence, with
+/// every folded outcome, so two runs compare equal only if the driver made
+/// the same calls with the same values in the same order.
+#[derive(Debug, Default, PartialEq)]
+struct CallLog(Vec<(Option<Prefix>, Option<PrefixOutcome>)>);
+
+impl CampaignSink for CallLog {
+    fn fold(&mut self, prefix: Prefix, outcome: PrefixOutcome) {
+        self.0.push((Some(prefix), Some(outcome)));
+    }
+    fn merge(&mut self, other: Self) {
+        self.0.push((None, None));
+        self.0.extend(other.0);
+    }
+}
+
+/// The property worlds above have at most 6 prefixes, so every chunk there
+/// holds one prefix. A deaggregated table of more than 128 prefixes makes
+/// every chunk fold several, with class replays crossing chunk and thread
+/// boundaries: the call sequence must not depend on the thread count,
+/// memoization must not change it, and stopping after a few chunks then
+/// resuming on more threads must equal the uninterrupted run.
+#[test]
+fn multi_prefix_chunks_keep_every_equivalence() {
+    let topo = TopologyParams::tiny().seed(4).build();
+    let table = bgpworms_topology::PrefixAllocation::assign(
+        &topo,
+        bgpworms_topology::addressing::AddressingParams::default(),
+    )
+    .deaggregate(&topo, bgpworms_topology::FullTableParams::default());
+    let schedule: Vec<Origination> = table
+        .iter()
+        .map(|(asn, prefix)| Origination::announce(asn, prefix, vec![]))
+        .collect();
+    let n_prefixes = schedule
+        .iter()
+        .map(|o| o.prefix)
+        .collect::<std::collections::BTreeSet<_>>()
+        .len();
+    assert!(n_prefixes > 128, "only {n_prefixes} prefixes");
+
+    let collectors = vec![CollectorSpec {
+        name: "rrc00".into(),
+        platform: "RIS".into(),
+        collector_id: 1,
+        peers: topo
+            .ases()
+            .filter(|n| n.tier == Tier::Tier1)
+            .map(|n| (n.asn, FeedKind::Full))
+            .collect(),
+    }];
+    let mut sim = spec_for(&topo, Vec::new(), collectors).compile();
+    let serial = Campaign::new(&sim).run(&schedule, CallLog::default);
+    assert!(serial.converged);
+    assert!(
+        serial.chunks < n_prefixes,
+        "{} chunks for {n_prefixes} prefixes: chunks must hold several",
+        serial.chunks
+    );
+    assert!(serial.class_hits > 0, "the table must replay some classes");
+    // Against an oracle that never chunks: one single-prefix run each.
+    let mut keyed = KeyedSink::default();
+    for (prefix, outcome) in serial.sink.0.iter().cloned() {
+        if let (Some(prefix), Some(outcome)) = (prefix, outcome) {
+            keyed.fold(prefix, outcome);
+        }
+    }
+    assert_eq!(
+        rebuild_sim_result(&sim, &keyed),
+        fresh_state_reference(&sim, &schedule),
+        "multi-prefix chunks lost, repeated or changed a prefix"
+    );
+
+    sim.set_threads(3);
+    let parallel = Campaign::new(&sim).run(&schedule, CallLog::default);
+    assert_eq!(parallel, serial, "threads 3 changed the call sequence");
+    let plain = Campaign::new(&sim)
+        .memoize(false)
+        .run(&schedule, CallLog::default);
+    assert_eq!(plain, serial, "memoization changed the call sequence");
+
+    sim.set_threads(1);
+    let campaign = Campaign::new(&sim);
+    let (cp, finished) = campaign.run_chunks(
+        &schedule,
+        campaign.begin(CallLog::default()),
+        CallLog::default,
+        5,
+    );
+    assert!(!finished);
+    assert_eq!(cp.chunks_done(), 5);
+    sim.set_threads(3);
+    let resumed = Campaign::new(&sim).resume(&schedule, cp, CallLog::default);
+    assert_eq!(resumed, serial, "resume changed the call sequence");
 }

@@ -139,9 +139,14 @@ fn schedule_prefixes(eps: &[Origination]) -> Vec<Prefix> {
         .collect()
 }
 
-/// Runs `campaign` to completion one chunk per advance, persisting the
-/// checkpoint to JSON (and restoring from it) between advances — the
-/// uninterrupted baseline the crash-resume driver is compared against.
+/// Chunks per advance in the durable-checkpoint drivers: more than one, so
+/// a multi-threaded campaign runs helper workers within each advance.
+const CHUNKS_PER_ADVANCE: usize = 3;
+
+/// Runs `campaign` to completion [`CHUNKS_PER_ADVANCE`] chunks per
+/// advance, persisting the checkpoint to JSON (and restoring from it)
+/// between advances — the uninterrupted baseline the crash-resume driver
+/// is compared against.
 fn run_through_json(
     campaign: &Campaign<'_, '_>,
     eps: &[Origination],
@@ -153,7 +158,7 @@ fn run_through_json(
         assert!(guard < 500, "campaign never finished");
         let cp = CampaignCheckpoint::<Ledger>::from_json(&persisted)
             .expect("persisted checkpoint restores");
-        let (cp, finished) = campaign.run_chunks(eps, cp, Ledger::default, 1);
+        let (cp, finished) = campaign.run_chunks(eps, cp, Ledger::default, CHUNKS_PER_ADVANCE);
         persisted = campaign.checkpoint_json(&cp);
         if finished {
             break;
@@ -164,10 +169,11 @@ fn run_through_json(
     (campaign.resume(eps, cp, Ledger::default), persisted)
 }
 
-/// The crash-resume driver: advance one chunk at a time, persisting the
-/// checkpoint text after each advance; when the injected crash fires,
-/// "reboot" by restoring from the last successfully persisted text —
-/// exactly what a real operator process would do — and keep going.
+/// The crash-resume driver: advance [`CHUNKS_PER_ADVANCE`] chunks at a
+/// time, persisting the checkpoint text after each advance; when the
+/// injected crash fires, "reboot" by restoring from the last successfully
+/// persisted text — exactly what a real operator process would do — and
+/// keep going.
 fn run_with_crash(
     campaign: &Campaign<'_, '_>,
     eps: &[Origination],
@@ -185,7 +191,7 @@ fn run_with_crash(
                 Some(text) => CampaignCheckpoint::<Ledger>::from_json(text)
                     .expect("persisted checkpoint restores"),
             };
-            let (cp, finished) = campaign.run_chunks(eps, cp, Ledger::default, 1);
+            let (cp, finished) = campaign.run_chunks(eps, cp, Ledger::default, CHUNKS_PER_ADVANCE);
             (campaign.checkpoint_json(&cp), finished)
         }));
         match attempt {
@@ -196,10 +202,13 @@ fn run_with_crash(
                 }
             }
             Err(payload) => {
-                // The only panic in play is the injected crash. Serially it
-                // surfaces as the typed payload; through a parallel worker
-                // it is stringified — either way it names its site.
+                // The only panic in play is the injected crash; it surfaces
+                // as the typed payload whichever thread it fired on.
                 let msg = panic_message(&*payload);
+                assert!(
+                    crash_payload(&*payload).is_some(),
+                    "crash at {site} lost its typed payload: {msg}"
+                );
                 assert!(
                     msg.contains(&format!("injected simulated crash at fault site `{site}`")),
                     "unexpected panic during crash-resume at {site}: {msg}"
@@ -226,7 +235,7 @@ fn crash_at_every_campaign_site_restores_byte_identically() {
     // restored run below must match it bit for bit, which simultaneously
     // pins threads = 1 ≡ threads = N under faults.
     let reference_sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
-    let reference = Campaign::new(&reference_sim).chunk_size(2);
+    let reference = Campaign::new(&reference_sim);
     let (ref_run, ref_json) = run_through_json(&reference, &eps);
     assert!(!ref_run.degraded(), "baseline world must be clean");
 
@@ -238,7 +247,7 @@ fn crash_at_every_campaign_site_restores_byte_identically() {
                 .faults(&plan)
                 .compile();
             sim.set_threads(threads);
-            let campaign = Campaign::new(&sim).chunk_size(2);
+            let campaign = Campaign::new(&sim);
             let (run, json) = run_with_crash(&campaign, &eps, site);
             assert_eq!(
                 run, ref_run,
@@ -338,7 +347,6 @@ fn transient_faults_under_retry_are_invisible_in_results() {
                 .compile();
             sim.set_threads(threads);
             let run = Campaign::new(&sim)
-                .chunk_size(2)
                 .memoize(memoize)
                 .fault_policy(FaultPolicy::Retry { attempts: 3 })
                 .run(&eps, Ledger::default);
@@ -346,7 +354,6 @@ fn transient_faults_under_retry_are_invisible_in_results() {
             let mut ref_sim = SimSpec::new(&topo).retain(RetainRoutes::All).compile();
             ref_sim.set_threads(threads);
             let reference = Campaign::new(&ref_sim)
-                .chunk_size(2)
                 .memoize(memoize)
                 .run(&eps, Ledger::default);
             assert_eq!(
@@ -377,7 +384,6 @@ fn permanently_poisoned_prefix_is_quarantined_while_the_rest_completes() {
             .compile();
         sim.set_threads(threads);
         let run = Campaign::new(&sim)
-            .chunk_size(2)
             .fault_policy(FaultPolicy::Quarantine { attempts: 3 })
             .run(&eps, Ledger::default);
 
@@ -438,7 +444,6 @@ fn quarantine_reports_flow_through_durable_checkpoints() {
         .faults(&plan)
         .compile();
     let uninterrupted = Campaign::new(&sim)
-        .chunk_size(2)
         .fault_policy(FaultPolicy::Quarantine { attempts: 2 })
         .run(&eps, Ledger::default);
     assert_eq!(uninterrupted.failures.len(), 1);
@@ -450,9 +455,7 @@ fn quarantine_reports_flow_through_durable_checkpoints() {
         .retain(RetainRoutes::All)
         .faults(&plan)
         .compile();
-    let campaign = Campaign::new(&sim)
-        .chunk_size(2)
-        .fault_policy(FaultPolicy::Quarantine { attempts: 2 });
+    let campaign = Campaign::new(&sim).fault_policy(FaultPolicy::Quarantine { attempts: 2 });
     let (resumed, _) = run_through_json(&campaign, &eps);
     assert_eq!(
         resumed, uninterrupted,
@@ -474,7 +477,7 @@ fn starved_prefix_reports_structured_divergence() {
         .retain(RetainRoutes::All)
         .faults(&plan)
         .compile();
-    let campaign = Campaign::new(&sim).chunk_size(2);
+    let campaign = Campaign::new(&sim);
     let run = campaign.run(&eps, Ledger::default);
 
     assert!(!run.converged);
@@ -513,9 +516,7 @@ fn injected_crashes_are_never_retried_in_process() {
         .compile();
     // Even the most forgiving policy must not swallow a crash: it models
     // process death, which only the durable checkpoint layer survives.
-    let campaign = Campaign::new(&sim)
-        .chunk_size(2)
-        .fault_policy(FaultPolicy::Quarantine { attempts: 5 });
+    let campaign = Campaign::new(&sim).fault_policy(FaultPolicy::Quarantine { attempts: 5 });
     let err = catch_unwind(AssertUnwindSafe(|| campaign.run(&eps, Ledger::default)))
         .expect_err("crash must abort the campaign");
     assert!(
@@ -554,9 +555,7 @@ fn real_checkpoint_json() -> &'static str {
             .retain(RetainRoutes::All)
             .faults(&plan)
             .compile();
-        let campaign = Campaign::new(&sim)
-            .chunk_size(2)
-            .fault_policy(FaultPolicy::Quarantine { attempts: 2 });
+        let campaign = Campaign::new(&sim).fault_policy(FaultPolicy::Quarantine { attempts: 2 });
         let (cp, finished) =
             campaign.run_chunks(&eps, campaign.begin(Ledger::default()), Ledger::default, 2);
         assert!(!finished, "the sample must stop mid-campaign");
